@@ -75,9 +75,12 @@ const PER_CORE_REGION: u64 = 2 << 30;
 #[derive(Debug)]
 enum EventKind {
     /// A core request (demand, prefetch or DL1 writeback) reaches the L2.
-    /// `retried` marks re-attempts after an MSHR-full stall, which must not
+    /// `retry` marks re-attempts after an MSHR-full stall, which must not
     /// re-count statistics or re-train prefetchers.
-    L2Access { req: CoreRequest, retried: bool },
+    L2Access {
+        req: CoreRequest,
+        retry: Option<RetryKey>,
+    },
     /// A memory request, past its MSHR probe latency and wire delay, joins
     /// its controller's send queue.
     McSend(MemRequest),
@@ -85,22 +88,54 @@ enum EventKind {
     CoreFill { line: LineAddr, cores: Vec<CoreId> },
 }
 
-/// The MSHR allocation parameters a core request misses with. Shared by
-/// the L2 miss path and the fast-forward retry replay, which must charge
-/// the exact same allocation attempt.
-fn miss_params(req: &CoreRequest) -> (MissTarget, MissKind) {
-    let token = u64::from(req.is_write) << 1; // bit 0 = L2 origin (clear here)
-    let target = MissTarget {
-        core: req.core,
-        token,
-        is_prefetch: req.is_prefetch,
-    };
-    let kind = if req.is_write {
-        MissKind::Write
-    } else {
-        MissKind::Read
-    };
-    (target, kind)
+/// Identity of an MSHR-full request across its retries: the cycle its
+/// first allocation attempt failed, and its place in failure order.
+///
+/// Per-cycle rescheduling leaves the retries in any one slot ordered
+/// youngest first failure first, and in failure order within a cycle: a
+/// fresh access is scheduled `l2_latency` cycles ahead, so it precedes the
+/// retries in its slot and fails ahead of them. Parked waiters re-enter
+/// the wheel in that same order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RetryKey {
+    first_failed: u64,
+    seq: u64,
+}
+
+impl RetryKey {
+    fn order(self) -> (std::cmp::Reverse<u64>, u64) {
+        (std::cmp::Reverse(self.first_failed), self.seq)
+    }
+}
+
+/// An MSHR-full core request parked off the event wheel until something
+/// that can change its outcome happens (see [`System::handle_l2_access`]).
+#[derive(Debug)]
+struct Waiter {
+    req: CoreRequest,
+    key: RetryKey,
+    /// MSHR bank (one per memory controller) the request allocates in.
+    bank: usize,
+    /// Probes each failed attempt costs. Fixed while parked: a failing
+    /// probe count depends at most on which lines the bank holds, and a
+    /// bank refusing this line takes in no new line that a failing probe
+    /// of it would see before a deallocation wakes the request.
+    probes: u32,
+    /// Last cycle whose failed attempt has been charged to the statistics.
+    charged_through: u64,
+}
+
+impl Waiter {
+    /// Charges the attempt the request would have made, and failed, on
+    /// every cycle after the last charged one up to and including `cycle`.
+    fn charge_through(&mut self, cycle: u64, probe_hist: &mut Histogram, retries: &mut u64) {
+        let n = cycle.saturating_sub(self.charged_through);
+        if n > 0 {
+            probe_hist.record_n(u64::from(self.probes), n);
+            *retries += n;
+            self.charged_through = cycle;
+        }
+    }
 }
 
 /// Initial calendar-queue span in cycles. Covers every ordinary scheduling
@@ -181,11 +216,27 @@ impl EventWheel {
         }
     }
 
-    /// Events due at the current cycle (including leftovers carried with
-    /// past timestamps), in the order [`take_due`](EventWheel::take_due)
-    /// will hand them out.
-    fn due_now(&self) -> &[EventKind] {
-        &self.slots[self.cursor]
+    /// Whether any event (including a leftover carried with a past
+    /// timestamp) is due at the current cycle.
+    fn has_due(&self) -> bool {
+        !self.slots[self.cursor].is_empty()
+    }
+
+    /// Events scheduled so far for the next cycle: an index into its slot
+    /// for a later [`insert_next`](EventWheel::insert_next).
+    fn next_len(&self) -> usize {
+        self.slots[(self.cursor + 1) & (self.slots.len() - 1)].len()
+    }
+
+    /// Inserts `events` into the next cycle's slot at index `at`, recorded
+    /// earlier with [`next_len`](EventWheel::next_len): after the events
+    /// that slot held then, ahead of any pushed there since.
+    fn insert_next(&mut self, at: usize, events: impl Iterator<Item = EventKind>) {
+        let mask = self.slots.len() - 1;
+        let slot = &mut self.slots[(self.cursor + 1) & mask];
+        let before = slot.len();
+        slot.splice(at..at, events);
+        self.len += slot.len() - before;
     }
 
     /// The cycle of the earliest pending event, if any. Leftover events
@@ -280,6 +331,12 @@ pub struct System {
     req_buf: Vec<CoreRequest>,
     completion_buf: Vec<Completion>,
     core_list_pool: Vec<Vec<CoreId>>,
+    // MSHR-full requests parked off the wheel while fast-forward is on,
+    // and those a wake source released this cycle (both buffers reused).
+    waiters: Vec<Waiter>,
+    woken: Vec<Waiter>,
+    // Failure-order sequence numbers for `RetryKey`.
+    retry_seq: u64,
     // Hot-loop copies of configuration fields read every cycle (the config
     // is immutable after construction).
     l2_latency: Cycles,
@@ -465,6 +522,9 @@ impl System {
             req_buf: Vec::new(),
             completion_buf: Vec::new(),
             core_list_pool: Vec::new(),
+            waiters: Vec::new(),
+            woken: Vec::new(),
+            retry_seq: 0,
             l2_latency: cfg.l2_latency,
             path_latency: cfg.memory.path_latency,
             hop_cost,
@@ -582,6 +642,12 @@ impl System {
     /// verify exactly that.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
+        if !enabled {
+            // The reference path re-polls every cycle: release any parked
+            // waiters at the end of the next tick, where their next failed
+            // attempt puts them back on the wheel.
+            self.woken.append(&mut self.waiters);
+        }
     }
 
     /// Cycles advanced in bulk by quiescence fast-forwarding so far.
@@ -604,6 +670,12 @@ impl System {
     /// the earliest cycle anything can happen and jumps there in one
     /// step, bulk-replaying the per-cycle statistics the skipped ticks
     /// would have recorded.
+    ///
+    /// L2 misses stalled on a full MSHR bank wait off the event wheel until
+    /// a deallocation in their bank, a new capacity limit or a fill of
+    /// their line can let them through, and are charged their failed
+    /// per-cycle attempts lazily; every waiter is settled before this
+    /// returns, so statistics read between calls are exact.
     pub fn run_cycles(&mut self, n: u64) {
         let end = self.now + Cycles::new(n);
         while self.now < end {
@@ -618,6 +690,10 @@ impl System {
                 }
             }
             self.tick();
+        }
+        let last = self.now.raw().saturating_sub(1);
+        for w in &mut self.waiters {
+            w.charge_through(last, &mut self.probe_hist, &mut self.mshr_full_retries);
         }
     }
 
@@ -694,25 +770,16 @@ impl System {
     /// dynamic MSHR tuner boundaries. The caller has already bounded
     /// `end` by core activity, so a returned target skips whole-machine
     /// dead time.
+    ///
+    /// Parked MSHR-full waiters need no bound of their own: they wake only
+    /// on an MC completion or a tuner limit change, both bounded here.
     fn mc_skip_target(&self, end: Cycle) -> Option<Cycle> {
         let now = self.now;
         let mut target = end;
         // Checks are ordered cheapest-veto-first; since any veto returns
         // None before `fast_forward_to` runs, the order cannot change
         // what a skip does, only what a refused skip costs.
-        //
-        // Events due this very cycle veto the skip — unless every one of
-        // them is an MSHR-full retry that would provably fail again, which
-        // `fast_forward_to` parks and replays in bulk instead. Split in
-        // two phases: a cheap tag scan here (anything that is not a
-        // retried L2 access vetoes immediately), with the per-event
-        // parkability proof deferred until every other check has already
-        // allowed the skip.
-        let due = self.events.due_now();
-        if due
-            .iter()
-            .any(|e| !matches!(e, EventKind::L2Access { retried: true, .. }))
-        {
+        if self.events.has_due() {
             return None;
         }
         let divisor = self.mc_clock_divisor;
@@ -750,43 +817,19 @@ impl System {
             }
             target = target.min(boundary);
         }
-        if target <= now {
-            return None;
-        }
-        // Phase two: prove each due retry would fail again. This is the
-        // expensive part (an L2 probe plus an MSHR lookup per event), so
-        // it runs only once everything else already permits the skip.
-        if !due.iter().all(|e| self.is_parkable_retry(e)) {
-            return None;
-        }
+        // The slot scan is the expensive part, so it runs only once
+        // everything else already permits the skip.
         if let Some(t) = self.events.next_event_after_now() {
             target = target.min(t);
         }
         (target > now).then_some(target)
     }
 
-    /// Whether an event due this cycle is an MSHR-full retry that would
-    /// provably fail again: its line still absent from the L2 and its
-    /// bank still full with no entry to merge into. While the rest of the
-    /// machine is quiescent nothing can change that outcome — failing
-    /// `allocate` calls are pure across every MSHR organization and their
-    /// probe counts depend only on the untouched bank state — so the skip
-    /// can park the event and replay its per-cycle statistics in bulk.
-    fn is_parkable_retry(&self, event: &EventKind) -> bool {
-        let EventKind::L2Access { req, retried: true } = event else {
-            return false;
-        };
-        let bank = &self.mshr_banks[self.mapper.decode(req.line.base()).mc.index()];
-        if !bank.is_full() {
-            return false;
-        }
-        !self.l2.contains(req.line) && bank.entry(req.line).is_none()
-    }
-
     /// Jumps `self.now` to `target`, replaying in bulk the only effects
-    /// the skipped ticks would have had: per-core stall counters, the
-    /// per-controller-clock queue-depth samples, and the failed allocation
-    /// attempts of any parked MSHR-full retries.
+    /// the skipped ticks would have had: per-core stall counters and the
+    /// per-controller-clock queue-depth samples. Parked MSHR-full waiters
+    /// need nothing here; their failed attempts are charged when they
+    /// wake or when [`run_cycles`](System::run_cycles) returns.
     fn fast_forward_to(&mut self, target: Cycle) {
         let from = self.now;
         let n = target.raw() - from.raw();
@@ -801,30 +844,7 @@ impl System {
                 mc.note_skipped_ticks(edges);
             }
         }
-        // Parked MSHR-full retries would have fired and failed identically
-        // on each of the `n` skipped cycles: charge the failed attempts in
-        // bulk, then leave the events due again at `target`, behind any
-        // earlier-scheduled arrivals there, exactly as per-cycle
-        // rescheduling would have ordered them.
-        let parked = self.events.take_due();
-        for event in &parked {
-            let EventKind::L2Access { req, .. } = event else {
-                unreachable!("mc_skip_target only parks L2 retry events"); // simlint::allow(P003, reason = "mc_skip_target parks only L2 retry events, so no other kind can be due here")
-            };
-            let (miss_target, kind) = miss_params(req);
-            let bank = self.mapper.decode(req.line.base()).mc.index();
-            match self.mshr_banks[bank].allocate(req.line, miss_target, kind, from) {
-                Err(e) => {
-                    self.probe_hist.record_n(e.probes() as u64, n);
-                    self.mshr_full_retries += n;
-                }
-                Ok(_) => unreachable!("parked retries were proven unable to allocate"), // simlint::allow(P003, reason = "quiescence proves no MSHR entry freed, so a parked retry cannot allocate")
-            }
-        }
         self.events.advance_by(n);
-        for event in parked {
-            self.events.push(target, event);
-        }
         self.skipped_cycles += n;
         self.now = target;
     }
@@ -853,13 +873,7 @@ impl System {
             buf.clear();
             self.cores[i].cycle(now, &mut buf);
             for req in buf.drain(..) {
-                self.schedule(
-                    l2_arrival,
-                    EventKind::L2Access {
-                        req,
-                        retried: false,
-                    },
-                );
+                self.schedule(l2_arrival, EventKind::L2Access { req, retry: None });
             }
         }
         self.req_buf = buf;
@@ -870,9 +884,10 @@ impl System {
         self.events.advance();
     }
 
-    /// Stages 2–6 of [`tick`](System::tick): everything except the cores —
+    /// Stages 2–7 of [`tick`](System::tick): everything except the cores —
     /// event drain, controller issue/completion, send-queue transfer,
-    /// trace sampling, MSHR tuning. Shared by the full tick and the
+    /// trace sampling, MSHR tuning, and the return of woken MSHR-full
+    /// waiters to the event wheel. Shared by the full tick and the
     /// MC-only slice, which replays the core stage's stall counters
     /// instead of running it.
     fn tick_memory(&mut self, now: Cycle) {
@@ -886,7 +901,7 @@ impl System {
             }
             for kind in batch.drain(..) {
                 match kind {
-                    EventKind::L2Access { req, retried } => self.handle_l2_access(req, retried),
+                    EventKind::L2Access { req, retry } => self.handle_l2_access(req, retry),
                     EventKind::McSend(req) => {
                         self.send_queues[req.location.mc.index()].push(req);
                     }
@@ -903,6 +918,9 @@ impl System {
             }
             self.events.recycle(batch);
         }
+        // Where this cycle's MSHR-full failures would sit in the next
+        // slot under per-cycle rescheduling (see stage 7).
+        let retry_at = self.events.next_len();
 
         // 3. Memory controllers issue (at their own clock) and complete.
         if now.raw().is_multiple_of(self.mc_clock_divisor) {
@@ -947,17 +965,43 @@ impl System {
                 for bank in &mut self.mshr_banks {
                     bank.set_capacity_limit(limit);
                 }
+                self.woken.append(&mut self.waiters);
             }
+        }
+
+        // 7. Waiters a wake source released this cycle failed on every
+        // cycle through this one: charge those attempts and put them back
+        // on the wheel, in the next slot, where their retries would be.
+        if !self.woken.is_empty() {
+            for w in &mut self.woken {
+                w.charge_through(now.raw(), &mut self.probe_hist, &mut self.mshr_full_retries);
+            }
+            self.woken.sort_unstable_by_key(|w| w.key.order());
+            let requeued = self.woken.drain(..).map(|w| EventKind::L2Access {
+                req: w.req,
+                retry: Some(w.key),
+            });
+            self.events.insert_next(retry_at, requeued);
         }
     }
 
-    fn handle_l2_access(&mut self, req: CoreRequest, retried: bool) {
+    /// Handles a core request reaching the L2. A miss that finds its MSHR
+    /// bank full retries every cycle until it allocates. With fast-forward
+    /// on, those retries do not sit on the event wheel: the request parks
+    /// on `waiters`, since a failed allocation changes nothing and only
+    /// three events can make the next attempt succeed — a deallocation in
+    /// its bank, a new capacity limit, or an L2 fill of its own line. The
+    /// first of those releases it, the attempts it would have failed in
+    /// between are charged in bulk, and it re-enters the wheel where
+    /// per-cycle rescheduling would have put it. `tick_by_tick` runs keep
+    /// the per-cycle retries as the reference this is checked against.
+    fn handle_l2_access(&mut self, req: CoreRequest, retry: Option<RetryKey>) {
         if req.is_writeback {
             self.handle_l1_writeback(req);
             return;
         }
         let line = req.line;
-        let hit = if retried {
+        let hit = if retry.is_some() {
             // Quiet probe: the first attempt already counted the access and
             // trained the prefetchers. The line may have arrived meanwhile
             // through another requester's fill.
@@ -976,20 +1020,37 @@ impl System {
             // Demand and L1-prefetch requests both have an L1 MSHR entry
             // waiting for the line.
             self.deliver_to_core(req.core, line);
-        } else {
-            let (target, kind) = miss_params(&req);
-            if !self.allocate_l2_miss(line, target, kind) {
-                // MSHR bank full. Every core-originated request — demand or
-                // L1 prefetch — has an L1 MSHR entry waiting on this line,
-                // so it must retry rather than drop (a dropped prefetch
-                // would leave its core's entry allocated forever).
-                self.mshr_full_retries += 1;
+        } else if let Err((bank, probes)) = self.allocate_l2_miss(&req) {
+            // MSHR bank full. Every core-originated request — demand or L1
+            // prefetch — has an L1 MSHR entry waiting on this line, so it
+            // must retry rather than drop (a dropped prefetch would leave
+            // its core's entry allocated forever).
+            self.mshr_full_retries += 1;
+            let key = retry.unwrap_or_else(|| {
+                self.retry_seq += 1;
+                RetryKey {
+                    first_failed: self.now.raw(),
+                    seq: self.retry_seq,
+                }
+            });
+            // Parking relies on fresh accesses preceding retries in their
+            // slot, which a zero L2 latency would break.
+            if self.fast_forward && self.l2_latency > Cycles::ZERO {
+                self.waiters.push(Waiter {
+                    req,
+                    key,
+                    bank,
+                    probes,
+                    charged_through: self.now.raw(),
+                });
+            } else {
                 let at = self.now + Cycles::new(1);
-                self.schedule(at, EventKind::L2Access { req, retried: true });
+                let retry = Some(key);
+                self.schedule(at, EventKind::L2Access { req, retry });
             }
         }
         // The L2 prefetchers observe the demand stream only.
-        if !retried && !req.is_prefetch {
+        if retry.is_none() && !req.is_prefetch {
             self.train_l2_prefetchers(req.pc, line);
         }
     }
@@ -1006,10 +1067,21 @@ impl System {
         }
     }
 
-    /// Tries to record an L2 miss. Returns `false` if the bank was full and
-    /// the miss was not recorded (prefetches are silently dropped by the
-    /// caller).
-    fn allocate_l2_miss(&mut self, line: LineAddr, target: MissTarget, kind: MissKind) -> bool {
+    /// Tries to record the L2 miss of a core request. When its bank is full
+    /// the miss is not recorded; the error carries the bank and the probes
+    /// the failed attempt cost.
+    fn allocate_l2_miss(&mut self, req: &CoreRequest) -> Result<(), (usize, u32)> {
+        let line = req.line;
+        let target = MissTarget {
+            core: req.core,
+            token: u64::from(req.is_write) << 1, // bit 0 = L2 origin (clear here)
+            is_prefetch: req.is_prefetch,
+        };
+        let kind = if req.is_write {
+            MissKind::Write
+        } else {
+            MissKind::Read
+        };
         let location = self.mapper.decode(line.base());
         let bank = location.mc.index();
         match self.mshr_banks[bank].allocate(line, target, kind, self.now) {
@@ -1019,7 +1091,7 @@ impl System {
                 // flight, the data is on its way: track the miss but send
                 // no duplicate memory request.
                 if outcome.is_primary() && !self.pf_inflight[bank].contains(&line) {
-                    let req = MemRequest {
+                    let mem = MemRequest {
                         line,
                         location,
                         kind: RequestKind::Read,
@@ -1033,17 +1105,13 @@ impl System {
                     let delay = Cycles::new(outcome.probes().saturating_sub(1) as u64)
                         + self.path_latency
                         + self.hop_to(target.core, bank);
-                    self.schedule(self.now + delay, EventKind::McSend(req));
+                    self.schedule(self.now + delay, EventKind::McSend(mem));
                 }
-                true
+                Ok(())
             }
             Err(e) => {
                 self.probe_hist.record(e.probes() as u64);
-                if target.token & L2_ORIGIN != 0 {
-                    // Only L2-internal prefetches may be dropped outright.
-                    self.dropped_prefetches += 1;
-                }
-                false
+                Err((bank, e.probes()))
             }
         }
     }
@@ -1129,6 +1197,9 @@ impl System {
             return;
         };
         self.probe_hist.record(probes as u64);
+        // A freed entry may admit any request waiting on this bank.
+        self.woken
+            .extend(self.waiters.extract_if(.., |w| w.bank == bank));
         self.fill_l2(line, completion.request.core);
         // Wake the waiting cores; each core is woken once regardless of how
         // many of its µops merged into the entry. The core list rides inside
@@ -1150,9 +1221,12 @@ impl System {
         }
     }
 
-    /// Installs a returned line into the L2; a dirty victim flows back to
-    /// memory as a writeback.
+    /// Installs a returned line into the L2, releasing any request parked
+    /// on a full MSHR bank for it; a dirty victim flows back to memory as a
+    /// writeback.
     fn fill_l2(&mut self, line: LineAddr, core: CoreId) {
+        self.woken
+            .extend(self.waiters.extract_if(.., |w| w.req.line == line));
         if let Some(victim) = self.l2.fill(line, false) {
             if victim.dirty {
                 let location = self.mapper.decode(victim.line.base());
@@ -1178,7 +1252,7 @@ impl System {
                 at,
                 EventKind::L2Access {
                     req: writeback,
-                    retried: false,
+                    retry: None,
                 },
             );
         }

@@ -246,11 +246,13 @@ const HASH_ORDER_METHODS: &[&str] = &[
 /// whose return type mentions one. Taint then propagates through `let`
 /// initializers (bounded fixpoint), so `let guard = memo().lock()…;
 /// guard.iter()` is still caught. Pass 2 flags order-sensitive method
-/// calls on tainted names and `for … in` loops over them.
+/// calls on tainted names and `for … in` loops over them. Taint matches
+/// bare names, so test-module code is left out of both passes: a test's
+/// `let last = HashMap::new()` must not taint a kernel `last`.
 fn rule_d_hash_iteration(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Finding>) {
     let mut hash_names: Vec<String> = Vec::new();
     for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
+        if t.kind != TokKind::Ident || file.is_test_line(t.line) {
             continue;
         }
         // `name : … HashMap/HashSet …` up to a declaration boundary
@@ -300,7 +302,7 @@ fn rule_d_hash_iteration(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Fi
     for _ in 0..4 {
         let mut grew = false;
         for (i, t) in toks.iter().enumerate() {
-            if !is_ident(t, "let") {
+            if !is_ident(t, "let") || file.is_test_line(t.line) {
                 continue;
             }
             let mut j = i + 1;

@@ -50,4 +50,16 @@ mod tests {
         let _ = x.unwrap();
         let _t = Instant::now();
     }
+
+    pub fn test_hash_binding(x: u64) {
+        let mut last = std::collections::HashMap::new();
+        last.insert(x, x);
+    }
+}
+
+/// Shares a binding name with the test module's hash map above, which
+/// must not taint it: draining this `Vec` is not a D003 finding.
+pub fn drain_window(window: Vec<u64>) -> u64 {
+    let mut last = window;
+    last.drain(..).sum()
 }

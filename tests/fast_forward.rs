@@ -9,15 +9,16 @@
 
 use stacksim::config::SystemConfig;
 use stacksim::configs;
-use stacksim::runner::{run_mix, RunConfig, RunResult};
+use stacksim::runner::{run_mix, RunConfig};
 use stacksim::trace::TraceConfig;
+use stacksim::System;
 use stacksim_mshr::{MshrKind, TunerConfig};
+use stacksim_stats::MetricsSink;
 use stacksim_workload::Mix;
 
 /// Flattened metric tree minus the skip meta-counters.
-fn machine_metrics(result: &RunResult) -> Vec<(String, f64)> {
-    result
-        .stats
+fn machine_metrics(stats: &MetricsSink) -> Vec<(String, f64)> {
+    stats
         .flatten()
         .into_iter()
         .filter(|(name, _)| name != "ticked_cycles" && name != "skipped_cycles")
@@ -37,8 +38,8 @@ fn assert_bit_identical(label: &str, cfg: &SystemConfig, mix_name: &str, run: Ru
         "{label}: zero-commit cores"
     );
     assert_eq!(fast.trace, slow.trace, "{label}: trace streams");
-    let fast_metrics = machine_metrics(&fast);
-    let slow_metrics = machine_metrics(&slow);
+    let fast_metrics = machine_metrics(&fast.stats);
+    let slow_metrics = machine_metrics(&slow.stats);
     assert_eq!(
         fast_metrics.len(),
         slow_metrics.len(),
@@ -58,6 +59,37 @@ fn assert_bit_identical(label: &str, cfg: &SystemConfig, mix_name: &str, run: Ru
     assert_eq!(skipped + ticked, cycles, "{label}: cycle accounting");
 }
 
+/// Runs `mix` past the quick warmup, then `chunks` more `run_cycles(chunk)`
+/// calls, fast-forwarded and tick by tick side by side, and requires equal
+/// machine metrics after every call. MSHR-full waiters are charged lazily,
+/// so this pins the settling `run_cycles` does before it returns.
+fn assert_bit_identical_in_chunks(
+    label: &str,
+    cfg: &SystemConfig,
+    mix_name: &str,
+    chunk: u64,
+    chunks: u64,
+) {
+    let mix = Mix::by_name(mix_name).expect("known mix");
+    let run = RunConfig::quick();
+    let mut fast = System::for_mix(cfg, mix, run.seed).expect("fast-forward system");
+    let mut slow = System::for_mix(cfg, mix, run.seed).expect("tick-by-tick system");
+    slow.set_fast_forward(false);
+    fast.run_cycles(run.warmup_cycles);
+    slow.run_cycles(run.warmup_cycles);
+    for i in 1..=chunks {
+        fast.run_cycles(chunk);
+        slow.run_cycles(chunk);
+        assert_eq!(
+            machine_metrics(&fast.metrics()),
+            machine_metrics(&slow.metrics()),
+            "{label}: metrics after chunk {i}"
+        );
+    }
+    let retries = slow.metrics().get("mshr_full_retries").expect("retries");
+    assert!(retries > 0.0, "{label}: no MSHR-full waits to settle");
+}
+
 #[test]
 fn fast_forward_matches_tick_by_tick_on_2d() {
     // Off-chip memory, single MC: long stalls, the skip-friendliest case.
@@ -75,7 +107,8 @@ fn fast_forward_matches_tick_by_tick_on_3d_multi_mc() {
 #[test]
 fn fast_forward_matches_tick_by_tick_with_vbf_and_dynamic_mshr() {
     // VBF MSHRs add probe-latency events; the dynamic tuner adds phase
-    // boundaries the skip must stop at.
+    // boundaries the skip must stop at, and each new capacity limit wakes
+    // every request parked on a full MSHR bank.
     let cfg = configs::cfg_dual_mc()
         .with_mshr_kind(MshrKind::Vbf)
         .with_mshr_scale(8)
@@ -85,6 +118,31 @@ fn fast_forward_matches_tick_by_tick_with_vbf_and_dynamic_mshr() {
             divisors: vec![1, 2, 4],
         });
     assert_bit_identical("vbf+tuner/VH1", &cfg, "VH1", RunConfig::quick());
+}
+
+#[test]
+fn fast_forward_matches_tick_by_tick_when_l2_prefetch_fills_wake_waiters() {
+    // Streaming mixes keep the L2 prefetchers busy. A prefetch fill frees
+    // no MSHR entry, so a request parked on a full bank for that line is
+    // released by the fill of its line alone.
+    assert_bit_identical(
+        "l2-prefetch/dual-mc/VH2",
+        &configs::cfg_dual_mc(),
+        "VH2",
+        RunConfig::quick(),
+    );
+}
+
+#[test]
+fn mshr_waiters_settle_between_short_run_cycles_calls() {
+    assert_bit_identical_in_chunks("chunks-of-1/2d/VH1", &configs::cfg_2d(), "VH1", 1, 3_000);
+    assert_bit_identical_in_chunks(
+        "chunks-of-7/quad-mc/VH2",
+        &configs::cfg_quad_mc(),
+        "VH2",
+        7,
+        3_000,
+    );
 }
 
 #[test]
