@@ -131,23 +131,37 @@ impl SetAssocCache {
         self.fills += 1;
         let base = self.set_base(line);
         let tag = line.index();
-        // Refresh in place if the line raced in already.
-        if let Some(w) = self.find_way(base, tag) {
+        // One pass picks the way: the line itself if it raced in already
+        // (refresh in place), else the first invalid way, else the least
+        // recently used (first minimum in scan order).
+        let end = base + self.assoc;
+        let mut resident = None;
+        let mut invalid = None;
+        let (mut lru, mut lru_use) = (0, u64::MAX);
+        for (i, (&t, &used)) in self.tags[base..end]
+            .iter()
+            .zip(&self.last_use[base..end])
+            .enumerate()
+        {
+            if t == tag {
+                resident = Some(i);
+                break;
+            }
+            if t == INVALID_TAG {
+                invalid = invalid.or(Some(i));
+            } else if used < lru_use {
+                (lru, lru_use) = (i, used);
+            }
+        }
+        if let Some(i) = resident {
+            let w = base + i;
             self.last_use[w] = self.clock;
             self.dirty[w] |= dirty;
             return None;
         }
-        // First invalid way, else the least recently used (first minimum,
-        // matching scan order).
-        let (w, evicted) = match self.find_way(base, INVALID_TAG) {
-            Some(w) => (w, false),
-            None => {
-                let set = base..base + self.assoc;
-                let w = set
-                    .min_by_key(|&w| self.last_use[w])
-                    .expect("associativity is non-zero"); // simlint::allow(P002, reason = "the constructor rejects zero associativity, so every set has a way")
-                (w, true)
-            }
+        let (w, evicted) = match invalid {
+            Some(i) => (base + i, false),
+            None => (base + lru, true),
         };
         let victim = evicted.then(|| Victim {
             line: LineAddr::new(self.tags[w]),
@@ -221,6 +235,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> SetAssocCache {
         // 2 sets x 2 ways.
@@ -315,6 +330,88 @@ mod tests {
         c.access(LineAddr::new(0), false);
         let s = c.stats();
         assert_eq!(s.get("miss_rate"), Some(0.5));
+    }
+
+    /// Reference fill in three scans: resident way, else first invalid
+    /// way, else first LRU minimum.
+    fn reference_fill(c: &mut SetAssocCache, line: LineAddr, dirty: bool) -> Option<Victim> {
+        c.clock += 1;
+        c.fills += 1;
+        let base = c.set_base(line);
+        if let Some(w) = c.find_way(base, line.index()) {
+            c.last_use[w] = c.clock;
+            c.dirty[w] |= dirty;
+            return None;
+        }
+        let (w, evicted) = match c.find_way(base, INVALID_TAG) {
+            Some(w) => (w, false),
+            None => {
+                let w = (base..base + c.assoc)
+                    .min_by_key(|&w| c.last_use[w])
+                    .unwrap();
+                (w, true)
+            }
+        };
+        let victim = evicted.then(|| Victim {
+            line: LineAddr::new(c.tags[w]),
+            dirty: c.dirty[w],
+        });
+        if victim.as_ref().is_some_and(|v| v.dirty) {
+            c.writebacks += 1;
+        }
+        c.tags[w] = line.index();
+        c.dirty[w] = dirty;
+        c.last_use[w] = c.clock;
+        victim
+    }
+
+    fn state(c: &SetAssocCache) -> (&[u64], &[bool], &[u64], u64, u64, u64) {
+        (
+            &c.tags,
+            &c.dirty,
+            &c.last_use,
+            c.clock,
+            c.fills,
+            c.writebacks,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Starts from arbitrary set contents (invalid holes, recency ties
+        /// the public API cannot produce) and checks that one-pass fills
+        /// pick the same way as the reference, through fills and
+        /// invalidations.
+        #[test]
+        fn one_pass_fill_matches_three_scan_reference(
+            ways in proptest::collection::vec((0u64..10, 0u64..3, any::<bool>()), 8..9),
+            ops in proptest::collection::vec((0u64..10, any::<bool>(), any::<bool>()), 1..40),
+        ) {
+            // 2 sets x 4 ways; lines 0, 2, 4, ... map to set 0.
+            let mut c = SetAssocCache::new(CacheConfig { size_bytes: 8 * 64, associativity: 4 });
+            for (w, &(tag, last_use, dirty)) in ways.iter().enumerate() {
+                let line = tag * 2 + (w / 4) as u64;
+                // Tags 8 and 9 stand for invalid ways; a set never holds a
+                // line twice.
+                let base = (w / 4) * 4;
+                let dup = c.tags[base..w].contains(&line);
+                c.tags[w] = if tag >= 8 || dup { INVALID_TAG } else { line };
+                c.last_use[w] = last_use;
+                c.dirty[w] = dirty;
+            }
+            c.clock = 3;
+            let mut reference = c.clone();
+            for &(l, dirty, invalidate) in &ops {
+                let line = LineAddr::new(l);
+                if invalidate {
+                    prop_assert_eq!(c.invalidate(line), reference.invalidate(line));
+                } else {
+                    prop_assert_eq!(c.fill(line, dirty), reference_fill(&mut reference, line, dirty));
+                }
+                prop_assert_eq!(state(&c), state(&reference));
+            }
+        }
     }
 
     #[test]

@@ -325,7 +325,9 @@ pub struct System {
     mcs: Vec<MemoryController>,
     send_queues: Vec<SendQueues>,
     pf_cap_per_mc: usize,
-    pf_inflight: Vec<std::collections::HashSet<LineAddr>>,
+    // Lines of the L2 prefetches in flight per MC, at most `pf_cap_per_mc`
+    // each: a set searched linearly, never iterated for results.
+    pf_inflight: Vec<Vec<LineAddr>>,
     mapper: AddressMapper,
     events: EventWheel,
     req_buf: Vec<CoreRequest>,
@@ -503,7 +505,7 @@ impl System {
         };
         let pf_cap_per_mc = L2_PF_INFLIGHT_PER_MC;
         let pf_inflight = (0..cfg.memory.mcs)
-            .map(|_| std::collections::HashSet::new())
+            .map(|_| Vec::with_capacity(pf_cap_per_mc))
             .collect();
         Ok(System {
             now: Cycle::ZERO,
@@ -1142,7 +1144,7 @@ impl System {
                 self.dropped_prefetches += 1;
                 continue;
             }
-            self.pf_inflight[bank].insert(candidate);
+            self.pf_inflight[bank].push(candidate);
             let req = MemRequest {
                 line: candidate,
                 location,
@@ -1184,7 +1186,10 @@ impl System {
         let bank = completion.request.location.mc.index();
         let is_l2_prefetch = completion.request.token & L2_ORIGIN != 0;
         if is_l2_prefetch {
-            self.pf_inflight[bank].remove(&line);
+            let inflight = &mut self.pf_inflight[bank];
+            if let Some(i) = inflight.iter().position(|&l| l == line) {
+                inflight.swap_remove(i);
+            }
         }
         let dealloc = self.mshr_banks[bank].deallocate(line);
         let Some((entry, probes)) = dealloc else {

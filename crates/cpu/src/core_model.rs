@@ -74,18 +74,29 @@ impl SlotRing {
         self.len -= 1;
     }
 
+    /// Ring index the next [`push_back`](SlotRing::push_back) lands in.
+    #[inline]
+    const fn tail(&self) -> usize {
+        (self.head + self.len) & self.mask
+    }
+
     #[inline]
     fn push_back(&mut self, slot: Slot) {
         debug_assert!(self.len <= self.mask, "window ring overfilled");
-        self.buf[(self.head + self.len) & self.mask] = slot;
+        self.buf[self.tail()] = slot;
         self.len += 1;
     }
 
-    /// Visits every occupied slot head-to-tail (the fill wake-up walk).
-    fn for_each_mut(&mut self, mut f: impl FnMut(&mut Slot)) {
-        for i in 0..self.len {
-            f(&mut self.buf[(self.head + i) & self.mask]);
-        }
+    /// Marks the slot at ring index `i`, waiting on `line`, done. A slot
+    /// never moves while it waits: it can only commit once it is done.
+    #[inline]
+    fn wake(&mut self, i: usize, line: LineAddr) {
+        debug_assert_eq!(
+            self.buf[i],
+            Slot::Waiting(line),
+            "woke a slot not waiting on the line"
+        );
+        self.buf[i] = Slot::Done;
     }
 }
 
@@ -138,7 +149,6 @@ pub struct Core {
     /// the only two mutation paths, [`cycle`](Core::cycle) and
     /// [`fill`](Core::fill).
     activity_bound: Cell<Option<Option<Cycle>>>,
-    token: u64,
     committed: u64,
     instr_limit: Option<u64>,
     finish_cycle: Option<Cycle>,
@@ -181,7 +191,6 @@ impl Core {
             tage,
             fetch_stall_until: Cycle::ZERO,
             activity_bound: Cell::new(None),
-            token: 0,
             committed: 0,
             instr_limit: None,
             finish_cycle: None,
@@ -447,10 +456,11 @@ impl Core {
         is_write: bool,
         requests: &mut Vec<CoreRequest>,
     ) -> bool {
-        // Encode write intent in the token's low bit so the eventual fill
-        // knows whether to install the line dirty.
-        self.token += 1;
-        let token = (self.token << 1) | u64::from(is_write);
+        // The token names the window slot the µop will wait in, so the fill
+        // wakes exactly that slot, and its low bit carries write intent so
+        // the fill knows whether to install the line dirty.
+        let slot = self.window.tail() as u64;
+        let token = (slot << 1) | u64::from(is_write);
         let target = MissTarget::demand(self.id, token);
         let kind = if is_write {
             MissKind::Write
@@ -486,8 +496,9 @@ impl Core {
                 self.prefetches_dropped += 1;
                 continue;
             }
-            self.token += 1;
-            let target = MissTarget::prefetch(self.id, self.token << 1);
+            // No µop waits on a prefetch: its token names no slot, and its
+            // clear low bit installs the line clean.
+            let target = MissTarget::prefetch(self.id, 0);
             self.mshr
                 .allocate(target_line, target, MissKind::Read, Cycle::ZERO)
                 .expect("mshr has room"); // simlint::allow(P002, reason = "prefetch issue is gated on MSHR headroom checked just above")
@@ -497,22 +508,24 @@ impl Core {
         self.pf_buf = candidates;
     }
 
-    /// Delivers a line fill from the memory system: wakes every waiting
-    /// window slot, installs the line into the DL1, and — if a dirty victim
-    /// was evicted — returns the writeback request the owner must route to
-    /// the L2.
+    /// Delivers a line fill from the memory system: wakes the window slot
+    /// of every demand target merged into the line's MSHR entry (each
+    /// `Waiting(line)` slot has exactly one), installs the line into the
+    /// DL1, and — if a dirty victim was evicted — returns the writeback
+    /// request the owner must route to the L2.
     pub fn fill(&mut self, line: LineAddr) -> Option<CoreRequest> {
         self.activity_bound.set(None);
         let Some((entry, _)) = self.mshr.deallocate(line) else {
             self.spurious_fills += 1;
             return None;
         };
-        self.window.for_each_mut(|slot| {
-            if *slot == Slot::Waiting(line) {
-                *slot = Slot::Done;
+        let mut dirty = false;
+        for t in entry.targets() {
+            dirty |= t.token & 1 == 1;
+            if !t.is_prefetch {
+                self.window.wake((t.token >> 1) as usize, line);
             }
-        });
-        let dirty = entry.targets().iter().any(|t| t.token & 1 == 1);
+        }
         let victim = self.dl1.fill(line, dirty)?;
         victim
             .dirty
@@ -844,6 +857,62 @@ mod tests {
             reqs.iter().any(|r| r.is_prefetch),
             "next-line prefetch expected"
         );
+    }
+
+    #[test]
+    fn fill_wakes_exactly_the_waiting_slots_across_ring_wraps() {
+        // Two loads per line merge demand targets; the next-line prefetcher
+        // runs ahead, so the load of the odd line merges into its entry.
+        let mut instrs = Vec::new();
+        for k in 0..2048u64 {
+            instrs.extend([load(2 * k), load(2 * k), Instr::Compute]);
+            instrs.extend([store(2 * k + 1), Instr::Compute, Instr::Compute]);
+        }
+        let mut core = Core::new(
+            CoreId::new(0),
+            CoreConfig::penryn(),
+            Box::new(Script::new(instrs)),
+        );
+        let mut reqs = Vec::new();
+        let mut outstanding = std::collections::VecDeque::new();
+        let (mut wraps, mut mixed_fills) = (0, 0);
+        for c in 0..20_000u64 {
+            core.cycle(Cycle::new(c), &mut reqs);
+            outstanding.extend(reqs.drain(..).filter(|r| !r.is_writeback).map(|r| r.line));
+            if c % 3 != 0 {
+                continue;
+            }
+            let Some(line) = outstanding.pop_front() else {
+                continue;
+            };
+            let ring = &core.window;
+            let occupied: Vec<usize> = (0..ring.len).map(|i| (ring.head + i) & ring.mask).collect();
+            let before = ring.buf.to_vec();
+            wraps += usize::from(ring.head + ring.len > ring.buf.len());
+            let targets = core
+                .mshr
+                .entry(line)
+                .map(|e| e.targets().to_vec())
+                .unwrap_or_default();
+            if targets.iter().any(|t| t.is_prefetch) && targets.iter().any(|t| !t.is_prefetch) {
+                mixed_fills += 1;
+            }
+            core.fill(line);
+            for (i, (was, now)) in before.iter().zip(core.window.buf.iter()).enumerate() {
+                let woken = occupied.contains(&i) && *was == Slot::Waiting(line);
+                assert_eq!(
+                    *now,
+                    if woken { Slot::Done } else { *was },
+                    "slot {i} at cycle {c}"
+                );
+            }
+        }
+        assert!(wraps > 0, "the window never wrapped its ring");
+        assert!(
+            mixed_fills > 0,
+            "no fill carried demand and prefetch targets"
+        );
+        assert!(core.committed() > 1000);
     }
 
     #[test]

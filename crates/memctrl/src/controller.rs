@@ -82,6 +82,9 @@ pub struct MemoryController {
     issue_blocked_until: Cycle,
     queue: VecDeque<MemRequest>,
     in_flight: Vec<Completion>,
+    /// The earliest `finished` in `in_flight` (`None` when it is empty),
+    /// so a cycle with nothing due costs one compare instead of a scan.
+    next_finish: Option<Cycle>,
     bus_free: Cycle,
     cmd_trace: Option<Vec<DramCmd>>,
     // Statistics.
@@ -139,6 +142,7 @@ impl MemoryController {
             issue_blocked_until: Cycle::ZERO,
             queue: VecDeque::with_capacity(config.queue_capacity),
             in_flight: Vec::new(),
+            next_finish: None,
             bus_free: Cycle::ZERO,
             cmd_trace: None,
             issued: 0,
@@ -292,6 +296,7 @@ impl MemoryController {
             finished,
             row_hit,
         });
+        self.next_finish = Some(self.next_finish.map_or(finished, |t| t.min(finished)));
     }
 
     /// Removes and returns every request that has finished by `now`.
@@ -305,7 +310,7 @@ impl MemoryController {
     /// buffer, so per-cycle drain loops reuse one allocation. Appends the
     /// finished requests (ordered by finish cycle) to `out`.
     pub fn drain_completions_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
-        if self.in_flight.is_empty() {
+        if self.next_finish.is_none_or(|t| t > now) {
             return;
         }
         let start = out.len();
@@ -318,12 +323,13 @@ impl MemoryController {
             }
         }
         out[start..].sort_by_key(|c| c.finished);
+        self.next_finish = self.in_flight.iter().map(|c| c.finished).min();
     }
 
     /// The earliest cycle at which any in-flight request finishes, if any —
     /// used by drain loops to fast-forward through idle stretches.
-    pub fn next_completion_at(&self) -> Option<Cycle> {
-        self.in_flight.iter().map(|c| c.finished).min()
+    pub const fn next_completion_at(&self) -> Option<Cycle> {
+        self.next_finish
     }
 
     /// The earliest cycle at which a [`tick`](Self::tick) could issue a
@@ -718,6 +724,86 @@ mod tests {
         run_until_complete(&mut mc, Cycle::ZERO);
         assert_eq!(mc.cmd_trace(), None);
         assert!(mc.take_cmd_trace().is_empty());
+    }
+
+    /// Reference drain: scan every in-flight request, then stable-sort the
+    /// finished ones by cycle.
+    fn reference_drain(in_flight: &mut Vec<Completion>, now: Cycle) -> Vec<Completion> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < in_flight.len() {
+            if in_flight[i].finished <= now {
+                out.push(in_flight.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        out.sort_by_key(|c| c.finished);
+        out
+    }
+
+    #[test]
+    fn cached_earliest_finish_tracks_in_flight_minimum() {
+        let (proto, mapper) = mc(SchedulerPolicy::FrFcfs, BusConfig::on_stack(8));
+        let mut cfg = *proto.config();
+        cfg.critical_word_first = true;
+        let mut mc = MemoryController::new(McId::new(0), cfg);
+        let mut now = Cycle::ZERO;
+        let mut pending = (0..48u64).map(|p| {
+            let mut req = read_req(&mapper, p * 7 % 23, 0);
+            if p % 5 == 0 {
+                req.kind = RequestKind::Writeback;
+            }
+            req
+        });
+        let mut drained = 0;
+        for _ in 0..100_000 {
+            if mc.can_accept() {
+                if let Some(req) = pending.next() {
+                    mc.enqueue(req).unwrap();
+                }
+            }
+            mc.tick(now);
+            let min = |m: &MemoryController| m.in_flight.iter().map(|c| c.finished).min();
+            assert_eq!(mc.next_completion_at(), min(&mc), "after tick at {now:?}");
+            let mut expected = mc.in_flight.clone();
+            let expected = reference_drain(&mut expected, now);
+            let mut got = Vec::new();
+            mc.drain_completions_into(now, &mut got);
+            assert_eq!(got, expected, "drain at {now:?}");
+            assert_eq!(mc.next_completion_at(), min(&mc), "after drain at {now:?}");
+            drained += got.len();
+            if drained == 48 {
+                return;
+            }
+            now += Cycles::new(1);
+        }
+        panic!("controller did not drain");
+    }
+
+    #[test]
+    fn equal_finish_completions_drain_in_the_original_order() {
+        let (mut mc, mapper) = mc(SchedulerPolicy::FrFcfs, BusConfig::on_stack(64));
+        for (token, finished) in [(0, 10), (1, 5), (2, 10), (3, 5), (4, 12)] {
+            let mut request = read_req(&mapper, 0, 0);
+            request.token = token;
+            mc.in_flight.push(Completion {
+                request,
+                finished: Cycle::new(finished),
+                row_hit: false,
+            });
+        }
+        mc.next_finish = Some(Cycle::new(5));
+        let mut out = Vec::new();
+        mc.drain_completions_into(Cycle::new(4), &mut out);
+        assert!(out.is_empty());
+        mc.drain_completions_into(Cycle::new(10), &mut out);
+        let tokens: Vec<u64> = out.iter().map(|c| c.request.token).collect();
+        assert_eq!(tokens, [1, 3, 0, 2]);
+        assert_eq!(mc.next_completion_at(), Some(Cycle::new(12)));
+        mc.drain_completions_into(Cycle::new(12), &mut out);
+        assert_eq!(out.len(), 5);
+        assert_eq!(mc.next_completion_at(), None);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! The idealized fully-associative CAM MSHR.
 
-use std::collections::HashMap;
-
-use stacksim_types::{Cycle, FastBuildHasher, LineAddr};
+use stacksim_types::{Cycle, LineAddr};
 
 use crate::entry::{MissKind, MissTarget, MshrEntry};
 use crate::handler::{AllocError, AllocOutcome, LookupResult, MissHandler, MshrKind};
@@ -28,10 +26,12 @@ use crate::handler::{AllocError, AllocOutcome, LookupResult, MissHandler, MshrKi
 /// ```
 #[derive(Clone, Debug)]
 pub struct CamMshr {
-    // Keyed with a deterministic multiplicative hasher: SipHash is the
-    // dominant cost of single-u64-key operations, and nothing iterates
-    // this map, so the hash function is unobservable in results.
-    entries: HashMap<LineAddr, MshrEntry, FastBuildHasher>,
+    // The CAM match: `lines[i]` is `entries[i].line()`, searched linearly
+    // as the hardware compares every entry at once. At MSHR capacities a
+    // scan of a few dense words beats a hash probe. Nothing iterates the
+    // entries, so their order is unobservable.
+    lines: Vec<LineAddr>,
+    entries: Vec<MshrEntry>,
     capacity: usize,
     limit: usize,
 }
@@ -45,10 +45,15 @@ impl CamMshr {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "mshr capacity must be non-zero");
         CamMshr {
-            entries: HashMap::with_capacity_and_hasher(capacity, FastBuildHasher),
+            lines: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(capacity),
             capacity,
             limit: capacity,
         }
+    }
+
+    fn position(&self, line: LineAddr) -> Option<usize> {
+        self.lines.iter().position(|&l| l == line)
     }
 }
 
@@ -59,7 +64,7 @@ impl MissHandler for CamMshr {
 
     fn lookup(&mut self, line: LineAddr) -> LookupResult {
         LookupResult {
-            found: self.entries.contains_key(&line),
+            found: self.position(line).is_some(),
             probes: 1,
         }
     }
@@ -71,7 +76,8 @@ impl MissHandler for CamMshr {
         kind: MissKind,
         now: Cycle,
     ) -> Result<AllocOutcome, AllocError> {
-        if let Some(e) = self.entries.get_mut(&line) {
+        if let Some(i) = self.position(line) {
+            let e = &mut self.entries[i];
             e.merge(target);
             return Ok(AllocOutcome::Merged {
                 probes: 1,
@@ -81,17 +87,19 @@ impl MissHandler for CamMshr {
         if self.entries.len() >= self.limit {
             return Err(AllocError::Full { probes: 1 });
         }
-        self.entries
-            .insert(line, MshrEntry::new(line, target, kind, now));
+        self.lines.push(line);
+        self.entries.push(MshrEntry::new(line, target, kind, now));
         Ok(AllocOutcome::Primary { probes: 1 })
     }
 
     fn deallocate(&mut self, line: LineAddr) -> Option<(MshrEntry, u32)> {
-        self.entries.remove(&line).map(|e| (e, 1))
+        let i = self.position(line)?;
+        self.lines.swap_remove(i);
+        Some((self.entries.swap_remove(i), 1))
     }
 
     fn entry(&self, line: LineAddr) -> Option<&MshrEntry> {
-        self.entries.get(&line)
+        self.position(line).map(|i| &self.entries[i])
     }
 
     fn occupancy(&self) -> usize {
@@ -185,6 +193,38 @@ mod tests {
         assert_eq!(m.capacity_limit(), 8); // clamped to capacity
         m.allocate(LineAddr::new(3), target(2), MissKind::Read, Cycle::ZERO)
             .unwrap();
+    }
+
+    #[test]
+    fn swap_removed_slot_reallocates_cleanly() {
+        let mut m = CamMshr::new(3);
+        for i in 1..=3 {
+            m.allocate(LineAddr::new(i), target(i), MissKind::Read, Cycle::ZERO)
+                .unwrap();
+        }
+        // Removing the first entry moves the last one into its place.
+        let (e, _) = m.deallocate(LineAddr::new(1)).unwrap();
+        assert_eq!(e.targets(), &[target(1)]);
+        assert_eq!(m.entry(LineAddr::new(3)).unwrap().targets(), &[target(3)]);
+        let out = m
+            .allocate(LineAddr::new(4), target(4), MissKind::Write, Cycle::new(9))
+            .unwrap();
+        assert!(out.is_primary());
+        assert!(m.is_full());
+        m.allocate(LineAddr::new(3), target(5), MissKind::Read, Cycle::ZERO)
+            .unwrap();
+        assert_eq!(
+            m.entry(LineAddr::new(3)).unwrap().targets(),
+            &[target(3), target(5)]
+        );
+        let e4 = m.entry(LineAddr::new(4)).unwrap();
+        assert_eq!(
+            (e4.kind(), e4.allocated_at()),
+            (MissKind::Write, Cycle::new(9))
+        );
+        assert_eq!(e4.targets(), &[target(4)]);
+        assert!(m.entry(LineAddr::new(1)).is_none());
+        assert!(!m.lookup(LineAddr::new(1)).found);
     }
 
     #[test]

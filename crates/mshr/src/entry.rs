@@ -62,13 +62,27 @@ impl fmt::Display for MissTarget {
     }
 }
 
+/// Targets an entry holds without a heap allocation. Merging past this
+/// many moves the whole target list to the heap, in merge order.
+pub const INLINE_TARGETS: usize = 2;
+
 /// One allocated MSHR entry: an outstanding miss and its merged targets.
+///
+/// The first [`INLINE_TARGETS`] targets live inside the entry, so a
+/// primary miss never allocates; only an entry merging more than that
+/// spills its list to the heap. Target storage is a function of the target
+/// list alone (`new` fills the unused inline slots with the first target),
+/// so the derived equality compares targets.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MshrEntry {
     line: LineAddr,
     kind: MissKind,
     allocated_at: Cycle,
-    targets: Vec<MissTarget>,
+    len: usize,
+    /// The targets while `len <= INLINE_TARGETS`; stale once spilled.
+    inline: [MissTarget; INLINE_TARGETS],
+    /// Every target, in merge order, once `len > INLINE_TARGETS`.
+    spill: Option<Vec<MissTarget>>,
 }
 
 impl MshrEntry {
@@ -78,7 +92,9 @@ impl MshrEntry {
             line,
             kind,
             allocated_at: now,
-            targets: vec![first],
+            len: 1,
+            inline: [first; INLINE_TARGETS],
+            spill: None,
         }
     }
 
@@ -99,22 +115,34 @@ impl MshrEntry {
 
     /// All merged targets, primary first.
     pub fn targets(&self) -> &[MissTarget] {
-        &self.targets
+        match &self.spill {
+            Some(all) => all,
+            None => &self.inline[..self.len],
+        }
     }
 
     /// Merges a secondary miss into this entry.
     pub fn merge(&mut self, target: MissTarget) {
-        self.targets.push(target);
+        if let Some(all) = &mut self.spill {
+            all.push(target);
+        } else if self.len < INLINE_TARGETS {
+            self.inline[self.len] = target;
+        } else {
+            let all = self.spill.get_or_insert_default();
+            all.extend_from_slice(&self.inline);
+            all.push(target);
+        }
+        self.len += 1;
     }
 
     /// Number of merged targets (≥ 1).
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
+    pub const fn target_count(&self) -> usize {
+        self.len
     }
 
     /// Whether any target is a demand (non-prefetch) request.
     pub fn has_demand(&self) -> bool {
-        self.targets.iter().any(|t| !t.is_prefetch)
+        self.targets().iter().any(|t| !t.is_prefetch)
     }
 }
 
@@ -123,10 +151,7 @@ impl fmt::Display for MshrEntry {
         write!(
             f,
             "{} x{} {:?} {}",
-            self.line,
-            self.targets.len(),
-            self.kind,
-            self.allocated_at
+            self.line, self.len, self.kind, self.allocated_at
         )
     }
 }

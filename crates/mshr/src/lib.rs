@@ -51,7 +51,7 @@ mod vbf;
 pub use cam::CamMshr;
 pub use direct::{DirectMappedMshr, ProbeScheme};
 pub use dynamic::{DynamicTuner, TunerConfig, TunerPhase};
-pub use entry::{MissKind, MissTarget, MshrEntry};
+pub use entry::{MissKind, MissTarget, MshrEntry, INLINE_TARGETS};
 pub use handler::{AllocError, AllocOutcome, LookupResult, MissHandler, MshrKind};
 pub use hierarchical::HierarchicalMshr;
 pub use sample::OccupancySample;

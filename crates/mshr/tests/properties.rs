@@ -1,13 +1,13 @@
 //! Property-based tests: every MSHR organization must agree with a simple
-//! reference model (a map from line to target count) on *semantics*, while
-//! differing only in probe counts.
+//! reference model (a map from line to its targets in merge order) on
+//! *semantics*, while differing only in probe counts.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 use stacksim_mshr::{
     CamMshr, DirectMappedMshr, HierarchicalMshr, MissHandler, MissKind, MissTarget, ProbeScheme,
-    VbfMshr,
+    VbfMshr, INLINE_TARGETS,
 };
 use stacksim_types::{CoreId, Cycle, LineAddr};
 
@@ -30,7 +30,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 fn run_against_model<M: MissHandler>(mut mshr: M, ops: &[Op]) {
-    let mut model: HashMap<u64, usize> = HashMap::new();
+    let mut model: HashMap<u64, Vec<MissTarget>> = HashMap::new();
     let capacity = mshr.capacity();
     for (step, op) in ops.iter().enumerate() {
         match *op {
@@ -43,11 +43,11 @@ fn run_against_model<M: MissHandler>(mut mshr: M, ops: &[Op]) {
                     // Secondary misses always merge, even when full.
                     let out = result.expect("merge must succeed");
                     assert!(!out.is_primary(), "step {step}: expected merge");
-                    *model.get_mut(&line).unwrap() += 1;
+                    model.get_mut(&line).unwrap().push(target);
                 } else if model.len() < mshr.capacity_limit() {
                     let out = result.expect("allocation with free space must succeed");
                     assert!(out.is_primary(), "step {step}: expected primary");
-                    model.insert(line, 1);
+                    model.insert(line, vec![target]);
                 } else {
                     result.expect_err("allocation without free space must fail");
                 }
@@ -58,7 +58,8 @@ fn run_against_model<M: MissHandler>(mut mshr: M, ops: &[Op]) {
                     Some(targets) => {
                         let (entry, _) = removed.expect("model says entry exists");
                         assert_eq!(entry.line(), LineAddr::new(line));
-                        assert_eq!(entry.target_count(), targets, "step {step}: target count");
+                        assert_eq!(entry.target_count(), targets.len(), "step {step}: count");
+                        assert_eq!(entry.targets(), targets, "step {step}: merge order");
                     }
                     None => assert!(removed.is_none(), "step {step}: spurious entry"),
                 }
@@ -79,6 +80,61 @@ fn run_against_model<M: MissHandler>(mut mshr: M, ops: &[Op]) {
         }
         assert_eq!(mshr.occupancy(), model.len(), "step {step}: occupancy");
         assert!(mshr.occupancy() <= mshr.capacity());
+    }
+}
+
+/// One of each organization, all with room for a few lines.
+fn every_organization() -> Vec<Box<dyn MissHandler>> {
+    vec![
+        Box::new(CamMshr::new(8)),
+        Box::new(DirectMappedMshr::new(8, ProbeScheme::Linear)),
+        Box::new(DirectMappedMshr::new(8, ProbeScheme::Quadratic)),
+        Box::new(VbfMshr::new(8)),
+        Box::new(HierarchicalMshr::new(4, 2, 4)),
+    ]
+}
+
+#[test]
+fn merging_past_the_inline_capacity_keeps_every_target_in_order() {
+    let line = LineAddr::new(12);
+    let other = LineAddr::new(13);
+    let targets: Vec<MissTarget> = (0..3 * INLINE_TARGETS as u64)
+        .map(|n| {
+            let core = CoreId::new((n % 3) as u16);
+            if n % 4 == 0 {
+                MissTarget::prefetch(core, n)
+            } else {
+                MissTarget::demand(core, n)
+            }
+        })
+        .collect();
+    for mut mshr in every_organization() {
+        let kind = mshr.kind();
+        for (n, &t) in targets.iter().enumerate() {
+            // Interleave a second line so both entries grow side by side.
+            for (l, target) in [
+                (line, t),
+                (other, MissTarget::demand(CoreId::new(3), 100 + n as u64)),
+            ] {
+                let out = mshr
+                    .allocate(l, target, MissKind::Read, Cycle::ZERO)
+                    .unwrap();
+                assert_eq!(out.is_primary(), n == 0, "{kind}: target {n}");
+            }
+            let entry = mshr.entry(line).unwrap();
+            assert_eq!(entry.targets(), &targets[..=n], "{kind}: after {n} merges");
+        }
+        let (entry, _) = mshr.deallocate(line).unwrap();
+        assert_eq!(entry.targets(), &targets[..], "{kind}: released entry");
+        assert_eq!(entry.target_count(), targets.len());
+        let (rest, _) = mshr.deallocate(other).unwrap();
+        let tokens: Vec<u64> = rest.targets().iter().map(|t| t.token).collect();
+        assert_eq!(
+            tokens,
+            (100..100 + targets.len() as u64).collect::<Vec<_>>(),
+            "{kind}"
+        );
+        assert_eq!(mshr.occupancy(), 0, "{kind}");
     }
 }
 

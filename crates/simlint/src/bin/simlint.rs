@@ -81,8 +81,10 @@ const EXPLAIN: &[(&str, &str)] = &[
         "Hot-path purity: nothing reachable from System::tick / mc_slice /\n\
          fast_forward_to / Core::cycle / MemoryController::tick may allocate (H001)\n\
          or clone containers (H002) in steady state — PR 6/8's allocation-free\n\
-         structure, now enforced. Constructors (`new`, `with_*`, `from_*`, `for_*`)\n\
-         are exempt. Amortized or epoch-boundary allocations take a reasoned pragma.",
+         structure, now enforced. Only reachability counts: a constructor called\n\
+         per event is as hot as the event itself, while one that only builds the\n\
+         machine is unreachable from the roots. Amortized or epoch-boundary\n\
+         allocations take a reasoned pragma.",
     ),
     (
         "R",

@@ -23,18 +23,6 @@ pub const HOT_ROOTS: &[(&str, &str)] = &[
     ("MemoryController", "tick"),
 ];
 
-/// Function-name shapes exempt from H-rules: construction is allowed to
-/// allocate, only steady-state ticking is not.
-fn is_constructor_name(name: &str) -> bool {
-    name == "new"
-        || name == "default"
-        || name.starts_with("new_")
-        || name.starts_with("try_new")
-        || name.starts_with("with_")
-        || name.starts_with("from_")
-        || name.starts_with("for_")
-}
-
 /// One panic-inventory row: a public API that can transitively panic.
 #[derive(Clone, Debug)]
 pub struct PanicApi {
@@ -299,7 +287,7 @@ fn check_hot_paths(ctx: &WsContext<'_>, findings: &mut Vec<Finding>) -> Vec<Stri
             continue;
         }
         let f = &graph.fns[i];
-        if !KERNEL_CRATES.contains(&f.crate_name.as_str()) || is_constructor_name(&f.name) {
+        if !KERNEL_CRATES.contains(&f.crate_name.as_str()) {
             continue;
         }
         for (what, line) in &f.facts.allocs {
@@ -465,9 +453,30 @@ mod tests {
         assert_eq!(
             rules.iter().filter(|r| **r == "H001").count(),
             1,
-            "cold() is unreachable from tick and new_table is a constructor: {findings:?}"
+            "cold() and new_table() are unreachable from tick: {findings:?}"
         );
         assert!(rules.contains(&"H002"));
+    }
+
+    #[test]
+    fn h001_reports_an_allocating_constructor_called_from_tick() {
+        let files = ctx_files(&[(
+            "mshr",
+            "crates/mshr/src/entry.rs",
+            "pub struct Entry { targets: Vec<u64> }
+             impl Entry { pub fn new(first: u64) -> Entry { Entry { targets: vec![first] } } }
+             impl System { pub fn tick(&mut self) { let e = Entry::new(1); } }
+",
+        )]);
+        let (findings, _) = run(&files, None);
+        let h001: Vec<&Finding> = findings.iter().filter(|f| f.rule == "H001").collect();
+        assert_eq!(h001.len(), 1, "{findings:?}");
+        assert_eq!(h001[0].line, 2);
+        assert!(
+            h001[0].message.contains("Entry::new"),
+            "{}",
+            h001[0].message
+        );
     }
 
     #[test]
