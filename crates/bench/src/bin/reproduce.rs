@@ -34,8 +34,7 @@
 //!   untraced simulation point is first looked up in `<dir>` and, on a
 //!   miss, persisted after simulating, so a second run — even from a
 //!   fresh process — serves its points from disk instead of
-//!   re-simulating (`docs/STORE.md`). The same directory can back a
-//!   `stacksim-serve` daemon.
+//!   re-simulating (`docs/STORE.md`).
 //! * `--scenario <file>` — instead of the experiment registry, run every
 //!   mix on the one machine described by the scenario file and report
 //!   per-mix HMIPC (works with `--out`/`--baseline`/`--quick`).
@@ -61,7 +60,7 @@ use stacksim::experiments::{
     figure9, headline, probing_table, table2a, table2a_table, table2b, table2b_table,
     thermal_check, Figure7Result, Figure9Result,
 };
-use stacksim::runner::{self, RunConfig, RunPoint};
+use stacksim::runner::{RunConfig, RunPoint, Session};
 use stacksim::scenario::{Machines, Scenario};
 use stacksim::trace::TraceConfig;
 use stacksim_bench::full_run;
@@ -70,10 +69,10 @@ use stacksim_simcheck::protocol::{check_trace, ProtocolParams};
 use stacksim_stats::{MetricsSink, Table};
 use stacksim_workload::{Benchmark, Mix};
 
-/// Everything an experiment closure needs: the machine set, the run
-/// window and the mix sets.
+/// Everything an experiment closure needs: the session (machine set,
+/// memo, store), the run window and the mix sets.
 struct Ctx {
-    machines: Machines,
+    session: Session,
     run: RunConfig,
     mixes: Vec<&'static Mix>,
     hv: Vec<&'static Mix>,
@@ -143,7 +142,7 @@ fn scalar_sink(name: &str, metric: &str, value: f64) -> MetricsSink {
 const EXPERIMENTS: &[(&str, ExpFn)] = &[
     ("table2a", |ctx| {
         let benchmarks: Vec<&'static Benchmark> = Benchmark::all().iter().collect();
-        let rows = table2a(&ctx.machines, &ctx.run, &benchmarks)?;
+        let rows = table2a(&ctx.session, &ctx.run, &benchmarks)?;
         let mut sink = MetricsSink::new("table2a");
         for row in &rows {
             sink.gauge(format!("{}.mpki", row.benchmark.name), row.measured_mpki);
@@ -151,7 +150,7 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
         Ok((table2a_table(&rows).to_string(), sink))
     }),
     ("table2b", |ctx| {
-        let rows = table2b(&ctx.machines, &ctx.run, &ctx.mixes)?;
+        let rows = table2b(&ctx.session, &ctx.run, &ctx.mixes)?;
         let mut sink = MetricsSink::new("table2b");
         for row in &rows {
             sink.gauge(format!("{}.hmipc", row.mix.name), row.measured_hmipc);
@@ -159,7 +158,7 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
         Ok((table2b_table(&rows).to_string(), sink))
     }),
     ("figure4", |ctx| {
-        let r = figure4(&ctx.machines, &ctx.run, &ctx.mixes)?;
+        let r = figure4(&ctx.session, &ctx.run, &ctx.mixes)?;
         let mut sink = MetricsSink::new("figure4");
         for row in &r.rows {
             sink.gauge(format!("{}.hmipc_2d", row.mix.name), row.hmipc_2d);
@@ -176,7 +175,7 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
         Ok((r.table().to_string(), sink))
     }),
     ("figure6a", |ctx| {
-        let r = figure6a(&ctx.machines, &ctx.run, &ctx.mixes)?;
+        let r = figure6a(&ctx.session, &ctx.run, &ctx.mixes)?;
         let mut sink = MetricsSink::new("figure6a");
         for c in &r.grid {
             sink.gauge(format!("{}mc_{}r.hvh", c.mcs, c.ranks), c.speedup_hvh);
@@ -189,7 +188,7 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
         Ok((r.table().to_string(), sink))
     }),
     ("figure6b", |ctx| {
-        let r = figure6b(&ctx.machines, &ctx.run, &ctx.mixes)?;
+        let r = figure6b(&ctx.session, &ctx.run, &ctx.mixes)?;
         let mut sink = MetricsSink::new("figure6b");
         for c in &r.cells {
             sink.gauge(
@@ -204,23 +203,27 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
         Ok((r.table().to_string(), sink))
     }),
     ("figure7-dual", |ctx| {
-        let r = figure7(&ctx.machines.dual_mc, &ctx.run, &ctx.mixes)?;
+        let base = &ctx.session.machines().dual_mc;
+        let r = figure7(&ctx.session, base, &ctx.run, &ctx.mixes)?;
         Ok((r.table().to_string(), figure7_sink("figure7-dual", &r)))
     }),
     ("figure7-quad", |ctx| {
-        let r = figure7(&ctx.machines.quad_mc, &ctx.run, &ctx.mixes)?;
+        let base = &ctx.session.machines().quad_mc;
+        let r = figure7(&ctx.session, base, &ctx.run, &ctx.mixes)?;
         Ok((r.table().to_string(), figure7_sink("figure7-quad", &r)))
     }),
     ("figure9-dual", |ctx| {
-        let r = figure9(&ctx.machines.dual_mc, &ctx.run, &ctx.mixes)?;
+        let base = &ctx.session.machines().dual_mc;
+        let r = figure9(&ctx.session, base, &ctx.run, &ctx.mixes)?;
         Ok((r.table().to_string(), figure9_sink("figure9-dual", &r)))
     }),
     ("figure9-quad", |ctx| {
-        let r = figure9(&ctx.machines.quad_mc, &ctx.run, &ctx.mixes)?;
+        let base = &ctx.session.machines().quad_mc;
+        let r = figure9(&ctx.session, base, &ctx.run, &ctx.mixes)?;
         Ok((r.table().to_string(), figure9_sink("figure9-quad", &r)))
     }),
     ("headline", |ctx| {
-        let r = headline(&ctx.machines, &ctx.run, &ctx.hv)?;
+        let r = headline(&ctx.session, &ctx.run, &ctx.hv)?;
         let mut sink = MetricsSink::new("headline");
         sink.gauge("fast_over_2d", r.fast_over_2d);
         sink.gauge("aggressive_over_fast", r.aggressive_over_fast);
@@ -242,21 +245,21 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
         Ok((r.table().to_string(), sink))
     }),
     ("ablation-scheduler", |ctx| {
-        let v = ablation_scheduler(&ctx.machines, &ctx.run, &ctx.hv)?;
+        let v = ablation_scheduler(&ctx.session, &ctx.run, &ctx.hv)?;
         Ok((
             format!("Ablation: FR-FCFS over FIFO (quad-MC, GM H/VH): {v:.3}x\n"),
             scalar_sink("ablation-scheduler", "speedup", v),
         ))
     }),
     ("ablation-interleave", |ctx| {
-        let v = ablation_interleave(&ctx.machines, &ctx.run, &ctx.hv)?;
+        let v = ablation_interleave(&ctx.session, &ctx.run, &ctx.hv)?;
         Ok((
             format!("Ablation: page over line L2 interleave (quad-MC, GM H/VH): {v:.3}x\n"),
             scalar_sink("ablation-interleave", "speedup", v),
         ))
     }),
     ("ablation-cwf", |ctx| {
-        let v = ablation_cwf(&ctx.machines, &ctx.run, &ctx.hv)?;
+        let v = ablation_cwf(&ctx.session, &ctx.run, &ctx.hv)?;
         Ok((
             format!(
                 "Ablation: critical-word-first over full-line delivery (narrow-bus 3D, GM H/VH): {v:.3}x\n"
@@ -265,7 +268,7 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
         ))
     }),
     ("ablation-page-policy", |ctx| {
-        let v = ablation_page_policy(&ctx.machines, &ctx.run, &ctx.hv)?;
+        let v = ablation_page_policy(&ctx.session, &ctx.run, &ctx.hv)?;
         Ok((
             format!(
                 "Ablation: open- over closed-page row management (quad-MC, GM H/VH): {v:.3}x\n"
@@ -275,7 +278,7 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
     }),
     ("ablation-smart-refresh", |ctx| {
         let (speedup, plain, smart) = ablation_smart_refresh(
-            &ctx.machines,
+            &ctx.session,
             &ctx.run,
             Mix::by_name("VH1").expect("known mix"),
         )?;
@@ -291,7 +294,7 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
         ))
     }),
     ("ablation-probing", |ctx| {
-        let rows = ablation_probing(&ctx.machines, &ctx.run, &ctx.hv)?;
+        let rows = ablation_probing(&ctx.session, &ctx.run, &ctx.hv)?;
         let mut sink = MetricsSink::new("ablation-probing");
         for row in &rows {
             sink.gauge(
@@ -307,7 +310,7 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
     }),
     ("ablation-energy", |ctx| {
         let rows = ablation_energy(
-            &ctx.machines,
+            &ctx.session,
             &ctx.run,
             Mix::by_name("H2").expect("known mix"),
         )?;
@@ -350,11 +353,11 @@ struct Timing {
 /// entry with no fresh cycles reports a `null` skip fraction. Wall times
 /// carry microsecond resolution so sub-10 ms experiments (e.g. a fully
 /// memoized `headline`) stay non-zero in the trajectory.
-fn timings_json(timings: &[Timing], total_wall: f64, quick: bool) -> String {
+fn timings_json(timings: &[Timing], total_wall: f64, quick: bool, jobs: usize) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"schema\": \"stacksim-bench-timings/1\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"jobs\": {},\n", runner::default_jobs()));
+    s.push_str(&format!("  \"jobs\": {jobs},\n"));
     s.push_str(&format!("  \"total_wall_seconds\": {total_wall:.6},\n"));
     s.push_str("  \"experiments\": [\n");
     for (i, t) in timings.iter().enumerate() {
@@ -377,6 +380,16 @@ fn timings_json(timings: &[Timing], total_wall: f64, quick: bool) -> String {
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+/// The worker count asked for: a non-zero `--jobs`, else a positive
+/// `RAYON_NUM_THREADS`; `None` leaves the session's default (every
+/// available CPU).
+fn requested_jobs(flag: Option<usize>) -> Option<usize> {
+    flag.filter(|&n| n > 0).or_else(|| {
+        let env = std::env::var("RAYON_NUM_THREADS").ok()?;
+        env.trim().parse().ok().filter(|&n: &usize| n > 0)
+    })
 }
 
 /// Command-line options.
@@ -492,17 +505,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         return Ok(());
     }
-    if let Some(jobs) = opts.jobs {
-        runner::set_default_jobs(jobs);
-    }
-
-    // Durable result store: installed process-wide so every simulation
-    // point first consults `<dir>` and writes through on a miss. Traced
-    // runs (--check-protocol) bypass it — event streams are not persisted.
-    if let Some(dir) = &opts.store {
-        let store = stacksim_store::Store::open(dir).map_err(|e| e.to_string())?;
-        runner::set_result_store(Some(std::sync::Arc::new(store)));
-    }
+    // Durable result store: every simulation point of the session first
+    // consults `<dir>` and writes through on a miss. Traced runs
+    // (--check-protocol) bypass it — event streams are not persisted.
+    let store = match &opts.store {
+        Some(dir) => Some(stacksim_store::Store::open(dir).map_err(|e| e.to_string())?),
+        None => None,
+    };
 
     // Machine source: an explicit --machines directory must load; the
     // shipped scenarios/ directory is used when present; otherwise the
@@ -513,9 +522,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => Machines::load(std::path::Path::new("scenarios")).map_err(|e| e.to_string())?,
     };
 
+    // Per-point progress on stderr as each experiment's matrix drains.
+    let mut session = Session::new(machines).with_progress(Box::new(|done, total| {
+        eprint!("\r  [{done}/{total} points]");
+        if done == total {
+            eprintln!();
+        }
+        let _ = std::io::stderr().flush();
+    }));
+    if let Some(jobs) = requested_jobs(opts.jobs) {
+        session = session.with_jobs(jobs);
+    }
+    if let Some(store) = store {
+        session = session.with_store(std::sync::Arc::new(store));
+    }
+
     let t0 = Instant::now();
     let ctx = Ctx {
-        machines,
+        session,
         run: {
             let mut run = if opts.quick {
                 RunConfig::quick()
@@ -539,17 +563,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ctx.run.seed,
         ctx.run.warmup_cycles,
         ctx.run.measure_cycles,
-        runner::default_jobs()
+        ctx.session.jobs()
     );
-
-    // Per-point progress on stderr as each experiment's matrix drains.
-    runner::set_progress_reporter(Some(Box::new(|done, total| {
-        eprint!("\r  [{done}/{total} points]");
-        if done == total {
-            eprintln!();
-        }
-        let _ = std::io::stderr().flush();
-    })));
 
     let mut results: Vec<(String, MetricsSink)> = Vec::new();
     let mut timings: Vec<Timing> = Vec::new();
@@ -563,7 +578,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .map(|&mix| (scenario.config.clone(), mix, ctx.run))
             .collect();
-        let matrix = runner::run_matrix(&points)?;
+        let matrix = ctx.session.run_matrix(&points)?;
         let wall = t.elapsed();
         let mut table = Table::new(vec!["mix".into(), "hmipc".into()]);
         table.title(format!(
@@ -590,13 +605,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if !opts.only.is_empty() && !opts.only.iter().any(|o| selects(o, name)) {
             continue;
         }
-        let (skipped_before, ticked_before) = runner::skip_totals();
+        let (skipped_before, ticked_before) = ctx.session.skip_totals();
         let t = Instant::now();
         let (output, sink) = exp(&ctx)?;
         let wall = t.elapsed();
         println!("{output}");
         println!("[{name}: {wall:.1?}]\n");
-        let (skipped_after, ticked_after) = runner::skip_totals();
+        let (skipped_after, ticked_after) = ctx.session.skip_totals();
         timings.push(Timing {
             name,
             wall_seconds: wall.as_secs_f64(),
@@ -605,7 +620,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
         results.push((name.to_string(), sink));
     }
-    runner::set_progress_reporter(None);
 
     // Post-hoc audit: replay the DRAM protocol checker over every traced
     // command stream the experiments produced. Purely an inspection of the
@@ -614,7 +628,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if opts.check_protocol {
         let mut runs = 0usize;
         let mut commands = 0usize;
-        runner::for_each_cached_run(|cfg, mix, run, result| {
+        ctx.session.for_each_cached_run(|cfg, mix, run, result| {
             if !run.trace.dram_cmds {
                 return;
             }
@@ -660,7 +674,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if let Some(file) = &opts.timings {
-        let json = timings_json(&timings, t0.elapsed().as_secs_f64(), opts.quick);
+        let json = timings_json(
+            &timings,
+            t0.elapsed().as_secs_f64(),
+            opts.quick,
+            ctx.session.jobs(),
+        );
         std::fs::write(file, json)?;
         println!("wrote timing artifact {}", file.display());
     }
@@ -668,10 +687,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "total wall time: {:.1?} ({} distinct simulations)",
         t0.elapsed(),
-        runner::memo_len()
+        ctx.session.memo_len()
     );
     if opts.store.is_some() {
-        let (hits, misses, simulated) = runner::tier_stats();
+        let (hits, misses, simulated) = ctx.session.tier_stats();
         println!("store: {hits} hit(s), {misses} miss(es), {simulated} simulated");
     }
     if regression || protocol_violations > 0 {

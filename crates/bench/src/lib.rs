@@ -2,9 +2,8 @@
 //!
 //! The harness has two faces:
 //!
-//! * `cargo bench -p stacksim-bench` — Criterion benches, one per paper
-//!   table/figure plus microbenches of the hot substrates, each regenerating
-//!   its rows at bench-friendly windows;
+//! * `cargo bench -p stacksim-bench` — Criterion microbenches of the hot
+//!   substrates plus the tracing-overhead bench, at bench-friendly windows;
 //! * `cargo run -p stacksim-bench --release --bin reproduce` — the full
 //!   reproduction pass over all twelve mixes at publication windows,
 //!   printing every table the paper reports (the source of
@@ -16,16 +15,7 @@
 pub mod obs;
 
 use stacksim::runner::RunConfig;
-use stacksim::scenario::Machines;
 use stacksim_workload::Mix;
-
-/// The six named machines the experiment drivers take. Benches use the
-/// builtin constructors directly (no file IO inside an iterated bench);
-/// `tests/scenarios.rs` keeps these bit-identical to the shipped
-/// `scenarios/` files.
-pub fn bench_machines() -> Machines {
-    Machines::builtin()
-}
 
 /// The window used by Criterion benches: long enough to be past warmup
 /// transients, short enough for iterated measurement.

@@ -10,14 +10,14 @@ use stacksim_types::{ConfigError, InterleaveGranularity};
 use stacksim_workload::Mix;
 
 use crate::config::SystemConfig;
-use crate::runner::{default_jobs, parallel_map, run_matrix, RunConfig, RunPoint};
-use crate::scenario::Machines;
+use crate::runner::{parallel_map, RunConfig, RunPoint, Session};
 use crate::system::System;
 
 /// GM speedup of `cfg` over `base` across `mixes`, with both columns fanned
 /// out as one matrix (and the shared quad-MC baseline memoized across the
 /// ablations that reuse it).
 fn gm_speedup(
+    session: &Session,
     cfg: &SystemConfig,
     base: &SystemConfig,
     run: &RunConfig,
@@ -27,7 +27,7 @@ fn gm_speedup(
         .iter()
         .flat_map(|&mix| [(base.clone(), mix, *run), (cfg.clone(), mix, *run)])
         .collect();
-    let results = run_matrix(&points)?;
+    let results = session.run_matrix(&points)?;
     let vals: Vec<f64> = results
         .chunks(2)
         .map(|pair| pair[1].speedup_over(&pair[0]).map_err(ConfigError::from))
@@ -44,14 +44,14 @@ fn gm_speedup(
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn ablation_scheduler(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<f64, ConfigError> {
-    let frfcfs = machines.quad_mc.clone();
+    let frfcfs = session.machines().quad_mc.clone();
     let mut fifo = frfcfs.clone();
     fifo.memory.policy = SchedulerPolicy::Fifo;
-    gm_speedup(&frfcfs, &fifo, run, mixes)
+    gm_speedup(session, &frfcfs, &fifo, run, mixes)
 }
 
 /// Critical-word-first on versus off, measured on the *narrow-bus* 3D
@@ -64,14 +64,14 @@ pub fn ablation_scheduler(
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn ablation_cwf(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<f64, ConfigError> {
-    let cwf = machines.m3d.clone(); // 8-byte on-stack bus
+    let cwf = session.machines().m3d.clone(); // 8-byte on-stack bus
     let mut full_line = cwf.clone();
     full_line.memory.critical_word_first = false;
-    gm_speedup(&cwf, &full_line, run, mixes)
+    gm_speedup(session, &cwf, &full_line, run, mixes)
 }
 
 /// Page- versus line-granularity L2 bank interleaving on the quad-MC
@@ -83,14 +83,14 @@ pub fn ablation_cwf(
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn ablation_interleave(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<f64, ConfigError> {
-    let page = machines.quad_mc.clone();
+    let page = session.machines().quad_mc.clone();
     let mut line = page.clone();
     line.l2_interleave = InterleaveGranularity::Line;
-    gm_speedup(&page, &line, run, mixes)
+    gm_speedup(session, &page, &line, run, mixes)
 }
 
 /// One row of the probing-scheme comparison (paper footnote 2).
@@ -113,11 +113,11 @@ pub struct ProbingRow {
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn ablation_probing(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<Vec<ProbingRow>, ConfigError> {
-    let base = machines.quad_mc.clone().with_mshr_scale(8);
+    let base = session.machines().quad_mc.clone().with_mshr_scale(8);
     let linear = base.with_mshr_kind(MshrKind::DirectLinear);
     let kinds = [
         MshrKind::DirectLinear,
@@ -137,7 +137,7 @@ pub fn ablation_probing(
                 .flat_map(move |&mix| [(linear.clone(), mix, *run), (cfg.clone(), mix, *run)])
         })
         .collect();
-    let results = run_matrix(&points)?;
+    let results = session.run_matrix(&points)?;
     let mut rows = Vec::new();
     for (k, &kind) in kinds.iter().enumerate() {
         let group = &results[2 * mixes.len() * k..2 * mixes.len() * (k + 1)];
@@ -186,14 +186,14 @@ pub fn probing_table(rows: &[ProbingRow]) -> Table {
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn ablation_page_policy(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<f64, ConfigError> {
-    let open = machines.quad_mc.clone();
+    let open = session.machines().quad_mc.clone();
     let mut closed = open.clone();
     closed.memory.page_policy = stacksim_dram::PagePolicy::Closed;
-    gm_speedup(&open, &closed, run, mixes)
+    gm_speedup(session, &open, &closed, run, mixes)
 }
 
 /// Smart Refresh on versus off, on the quad-MC stacked machine (32 ms
@@ -206,21 +206,22 @@ pub fn ablation_page_policy(
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn ablation_smart_refresh(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mix: &'static Mix,
 ) -> Result<(f64, f64, f64), ConfigError> {
-    let plain = machines.quad_mc.clone();
+    let plain = session.machines().quad_mc.clone();
     let mut smart = plain.clone();
     smart.memory.smart_refresh = true;
     // Two independent full-length simulations — run them side by side.
     let cfgs = [plain, smart];
     let measured = parallel_map(
-        default_jobs(),
+        session.jobs(),
         &cfgs,
         |cfg| -> Result<(f64, f64), ConfigError> {
             let mut sys = System::for_mix(cfg, mix, run.seed)?;
             sys.run_cycles(run.warmup_cycles + run.measure_cycles);
+            session.count_cycles(&sys);
             let stats = sys.stats();
             let refreshes: f64 = (0..cfg.memory.mcs as usize)
                 .map(|i| stats.get(&format!("mc{i}.ranks.refreshes")).unwrap_or(0.0))
@@ -258,7 +259,7 @@ pub struct EnergyRow {
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn ablation_energy(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mix: &'static Mix,
 ) -> Result<Vec<EnergyRow>, ConfigError> {
@@ -266,12 +267,13 @@ pub fn ablation_energy(
     let sweep: Vec<usize> = (1..=4).collect();
     // The four sweep points are independent full-length simulations.
     parallel_map(
-        default_jobs(),
+        session.jobs(),
         &sweep,
         |&row_buffers| -> Result<EnergyRow, ConfigError> {
-            let cfg = machines.aggressive(4, 16, row_buffers);
+            let cfg = session.machines().aggressive(4, 16, row_buffers);
             let mut sys = System::for_mix(&cfg, mix, run.seed)?;
             sys.run_cycles(run.warmup_cycles + run.measure_cycles);
+            session.count_cycles(&sys);
             let stats = sys.stats();
             let energy = sys.dram_energy(&model);
             let committed = sys.total_committed().max(1) as f64;
@@ -314,6 +316,7 @@ pub fn energy_table(rows: &[EnergyRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::session;
 
     fn quick() -> RunConfig {
         RunConfig {
@@ -327,7 +330,7 @@ mod tests {
     #[test]
     fn frfcfs_beats_fifo_on_streams() {
         let mixes = [Mix::by_name("VH2").unwrap()];
-        let s = ablation_scheduler(&Machines::builtin(), &quick(), &mixes).unwrap();
+        let s = ablation_scheduler(&session(), &quick(), &mixes).unwrap();
         assert!(s > 0.95, "FR-FCFS {s:.3} should not lose badly to FIFO");
     }
 
@@ -337,14 +340,14 @@ mod tests {
         // gain at this short measurement window; the very-high mixes flip
         // sign run-to-run at 50k cycles.
         let mixes = [Mix::by_name("M1").unwrap()];
-        let s = ablation_cwf(&Machines::builtin(), &quick(), &mixes).unwrap();
+        let s = ablation_cwf(&session(), &quick(), &mixes).unwrap();
         assert!(s > 1.0, "CWF must help on an 8-byte bus: {s:.3}");
     }
 
     #[test]
     fn probing_schemes_ordered_by_probes() {
         let mixes = [Mix::by_name("VH1").unwrap()];
-        let rows = ablation_probing(&Machines::builtin(), &quick(), &mixes).unwrap();
+        let rows = ablation_probing(&session(), &quick(), &mixes).unwrap();
         let probe_of = |k: MshrKind| rows.iter().find(|r| r.kind == k).unwrap().probes_per_access;
         assert!(probe_of(MshrKind::Cam) <= probe_of(MshrKind::Vbf));
         assert!(probe_of(MshrKind::Vbf) < probe_of(MshrKind::DirectLinear));
@@ -355,7 +358,7 @@ mod tests {
     #[test]
     fn open_page_beats_closed_on_streams() {
         let mixes = [Mix::by_name("VH2").unwrap()];
-        let s = ablation_page_policy(&Machines::builtin(), &quick(), &mixes).unwrap();
+        let s = ablation_page_policy(&session(), &quick(), &mixes).unwrap();
         assert!(
             s > 1.0,
             "open-page must win on row-friendly streams: {s:.3}"
@@ -365,8 +368,7 @@ mod tests {
     #[test]
     fn smart_refresh_reduces_refresh_count_without_hurting() {
         let (speedup, plain, smart) =
-            ablation_smart_refresh(&Machines::builtin(), &quick(), Mix::by_name("VH1").unwrap())
-                .unwrap();
+            ablation_smart_refresh(&session(), &quick(), Mix::by_name("VH1").unwrap()).unwrap();
         assert!(
             smart < plain,
             "smart {smart} must refresh less than plain {plain}"
@@ -379,8 +381,7 @@ mod tests {
 
     #[test]
     fn bigger_row_buffer_cache_raises_hit_rate() {
-        let rows =
-            ablation_energy(&Machines::builtin(), &quick(), Mix::by_name("H2").unwrap()).unwrap();
+        let rows = ablation_energy(&session(), &quick(), Mix::by_name("H2").unwrap()).unwrap();
         assert_eq!(rows.len(), 4);
         assert!(
             rows[3].row_hit_rate >= rows[0].row_hit_rate,

@@ -17,7 +17,7 @@ use stacksim_types::ConfigError;
 use stacksim_workload::{Benchmark, IdleProgram, Mix, SyntheticWorkload, TraceGenerator};
 
 use crate::config::SystemConfig;
-use crate::runner::{default_jobs, parallel_map, RunConfig};
+use crate::runner::{parallel_map, RunConfig, Session};
 use crate::system::System;
 
 /// Metrics for one mix on one configuration.
@@ -37,6 +37,7 @@ pub struct FairnessRow {
 
 /// Measures one program's IPC alone on the machine (idle co-runners).
 fn alone_ipc(
+    session: &Session,
     cfg: &SystemConfig,
     spec: &'static Benchmark,
     run: &RunConfig,
@@ -50,6 +51,7 @@ fn alone_ipc(
     system.run_cycles(run.warmup_cycles);
     let before = system.core_committed(0);
     system.run_cycles(run.measure_cycles);
+    session.count_cycles(&system);
     Ok((system.core_committed(0) - before).max(1) as f64 / run.measure_cycles as f64)
 }
 
@@ -60,6 +62,7 @@ fn alone_ipc(
 /// Returns [`ConfigError`] if the configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn fairness(
+    session: &Session,
     cfg: &SystemConfig,
     run: &RunConfig,
     mixes: &[&'static Mix],
@@ -67,7 +70,7 @@ pub fn fairness(
     // Each mix needs one shared run plus one alone run per program slot,
     // all independent — fan the mixes across the worker pool.
     parallel_map(
-        default_jobs(),
+        session.jobs(),
         mixes,
         |&mix| -> Result<FairnessRow, ConfigError> {
             // Shared run.
@@ -75,6 +78,7 @@ pub fn fairness(
             system.run_cycles(run.warmup_cycles);
             let before: Vec<u64> = (0..cfg.cores).map(|i| system.core_committed(i)).collect();
             system.run_cycles(run.measure_cycles);
+            session.count_cycles(&system);
             let shared_ipc: Vec<f64> = (0..cfg.cores)
                 .map(|i| {
                     (system.core_committed(i) - before[i]).max(1) as f64 / run.measure_cycles as f64
@@ -84,7 +88,7 @@ pub fn fairness(
             let mut weighted_speedup = 0.0;
             let mut slowdowns = Vec::with_capacity(cfg.cores);
             for (i, spec) in mix.benchmarks().iter().enumerate() {
-                let alone = alone_ipc(cfg, spec, run)?;
+                let alone = alone_ipc(session, cfg, spec, run)?;
                 weighted_speedup += shared_ipc[i] / alone;
                 slowdowns.push(alone / shared_ipc[i]);
             }
@@ -129,6 +133,7 @@ pub fn fairness_table(rows: &[FairnessRow]) -> Table {
 mod tests {
     use super::*;
     use crate::configs;
+    use crate::experiments::session;
 
     #[test]
     fn metrics_are_well_formed() {
@@ -139,7 +144,8 @@ mod tests {
             ..RunConfig::default()
         };
         let mixes = [Mix::by_name("HM3").unwrap()];
-        let rows = fairness(&configs::cfg_3d_fast(), &run, &mixes).unwrap();
+        let session = session();
+        let rows = fairness(&session, &configs::cfg_3d_fast(), &run, &mixes).unwrap();
         let r = &rows[0];
         assert_eq!(r.slowdowns.len(), 4);
         // Weighted speedup is bounded by the program count and positive.
@@ -168,8 +174,9 @@ mod tests {
             ..RunConfig::default()
         };
         let mixes = [Mix::by_name("VH3").unwrap()];
-        let slow = fairness(&configs::cfg_2d(), &run, &mixes).unwrap();
-        let fast = fairness(&configs::cfg_quad_mc(), &run, &mixes).unwrap();
+        let session = session();
+        let slow = fairness(&session, &configs::cfg_2d(), &run, &mixes).unwrap();
+        let fast = fairness(&session, &configs::cfg_quad_mc(), &run, &mixes).unwrap();
         assert!(
             fast[0].weighted_speedup > slow[0].weighted_speedup,
             "quad {:.2} must beat 2d {:.2}",

@@ -5,8 +5,7 @@ use stacksim_stats::Table;
 use stacksim_types::ConfigError;
 use stacksim_workload::Mix;
 
-use crate::runner::{run_matrix, RunConfig, RunPoint};
-use crate::scenario::Machines;
+use crate::runner::{RunConfig, RunPoint, Session};
 
 use super::{gm_all, gm_memory_intensive};
 
@@ -78,17 +77,18 @@ impl Figure4Result {
 }
 
 /// Runs the Figure 4 experiment over `mixes` (pass [`Mix::all`] for the
-/// full figure) on the four progression machines of `machines`.
+/// full figure) on the four progression machines of the session.
 ///
 /// # Errors
 ///
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn figure4(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<Figure4Result, ConfigError> {
+    let machines = session.machines();
     let cfgs = [
         machines.m2d.clone(),
         machines.m3d.clone(),
@@ -99,7 +99,7 @@ pub fn figure4(
         .iter()
         .flat_map(|&mix| cfgs.iter().map(move |cfg| (cfg.clone(), mix, *run)))
         .collect();
-    let results = run_matrix(&points)?;
+    let results = session.run_matrix(&points)?;
     let mut rows = Vec::with_capacity(mixes.len());
     for (i, &mix) in mixes.iter().enumerate() {
         let [base, d3, wide, fast] = &results[cfgs.len() * i..cfgs.len() * (i + 1)] else {
@@ -142,11 +142,12 @@ pub fn figure4(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::session;
 
     #[test]
     fn stacking_progression_holds_on_stream_mix() {
         let mixes = [Mix::by_name("VH1").unwrap()];
-        let r = figure4(&Machines::builtin(), &RunConfig::quick(), &mixes).unwrap();
+        let r = figure4(&session(), &RunConfig::quick(), &mixes).unwrap();
         let row = &r.rows[0];
         // The paper's headline shape: each step helps, in order.
         assert!(row.speedup_3d > 1.05, "3D {:.3}", row.speedup_3d);
@@ -166,7 +167,7 @@ mod tests {
     #[test]
     fn moderate_mix_benefits_less() {
         let mixes = [Mix::by_name("VH1").unwrap(), Mix::by_name("M3").unwrap()];
-        let r = figure4(&Machines::builtin(), &RunConfig::quick(), &mixes).unwrap();
+        let r = figure4(&session(), &RunConfig::quick(), &mixes).unwrap();
         let vh = &r.rows[0];
         let m = &r.rows[1];
         assert!(
@@ -180,7 +181,7 @@ mod tests {
     #[test]
     fn table_renders_all_rows() {
         let mixes = [Mix::by_name("VH1").unwrap()];
-        let r = figure4(&Machines::builtin(), &RunConfig::quick(), &mixes).unwrap();
+        let r = figure4(&session(), &RunConfig::quick(), &mixes).unwrap();
         let t = r.table();
         let s = t.to_string();
         assert!(s.contains("VH1") && s.contains("GM(all)"));

@@ -9,8 +9,7 @@ use stacksim_types::ConfigError;
 use stacksim_workload::Mix;
 
 use crate::config::SystemConfig;
-use crate::runner::{run_matrix, RunConfig, RunPoint, RunResult};
-use crate::scenario::Machines;
+use crate::runner::{RunConfig, RunPoint, RunResult, Session};
 
 use super::{gm_all, gm_memory_intensive};
 
@@ -122,13 +121,13 @@ impl Figure6bResult {
 
 /// Baseline runs of 3D-fast, one per mix, reused by every comparison.
 fn baselines(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<Vec<(&'static Mix, Arc<RunResult>)>, ConfigError> {
-    let cfg = machines.m3d_fast.clone();
+    let cfg = session.machines().m3d_fast.clone();
     let points: Vec<RunPoint> = mixes.iter().map(|&m| (cfg.clone(), m, *run)).collect();
-    let results = run_matrix(&points)?;
+    let results = session.run_matrix(&points)?;
     Ok(mixes.iter().copied().zip(results).collect())
 }
 
@@ -160,6 +159,7 @@ fn gms_vs(
 /// whole figure fans out across the worker pool at once) and reduces each
 /// configuration's results to its two speedup GMs.
 fn gms_per_config(
+    session: &Session,
     cfgs: &[SystemConfig],
     baselines: &[(&'static Mix, Arc<RunResult>)],
     run: &RunConfig,
@@ -168,7 +168,7 @@ fn gms_per_config(
         .iter()
         .flat_map(|cfg| baselines.iter().map(|&(mix, _)| (cfg.clone(), mix, *run)))
         .collect();
-    let results = run_matrix(&points)?;
+    let results = session.run_matrix(&points)?;
     results
         .chunks(baselines.len())
         .map(|chunk| gms_vs(chunk, baselines))
@@ -182,11 +182,12 @@ fn gms_per_config(
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn figure6a(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<Figure6aResult, ConfigError> {
-    let base = baselines(machines, run, mixes)?;
+    let machines = session.machines();
+    let base = baselines(session, run, mixes)?;
     let grid_shape: Vec<(u16, u16)> = [8u16, 16]
         .iter()
         .flat_map(|&ranks| [1u16, 2, 4].map(|mcs| (mcs, ranks)))
@@ -201,7 +202,7 @@ pub fn figure6a(
             .iter()
             .map(|&b| machines.m3d_fast.clone().with_extra_l2(b)),
     );
-    let gms = gms_per_config(&cfgs, &base, run)?;
+    let gms = gms_per_config(session, &cfgs, &base, run)?;
     let grid = grid_shape
         .iter()
         .zip(&gms)
@@ -227,11 +228,12 @@ pub fn figure6a(
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn figure6b(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<Figure6bResult, ConfigError> {
-    let base = baselines(machines, run, mixes)?;
+    let machines = session.machines();
+    let base = baselines(session, run, mixes)?;
     let shape: Vec<(u16, u16, usize)> = [(2u16, 8u16), (4, 16)]
         .iter()
         .flat_map(|&(mcs, ranks)| (1..=4usize).map(move |rb| (mcs, ranks, rb)))
@@ -240,7 +242,7 @@ pub fn figure6b(
         .iter()
         .map(|&(mcs, ranks, rb)| machines.aggressive(mcs, ranks, rb))
         .collect();
-    let gms = gms_per_config(&cfgs, &base, run)?;
+    let gms = gms_per_config(session, &cfgs, &base, run)?;
     let cells = shape
         .iter()
         .zip(&gms)
@@ -258,6 +260,7 @@ pub fn figure6b(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::session;
 
     fn quick_mixes() -> Vec<&'static Mix> {
         vec![Mix::by_name("VH1").unwrap(), Mix::by_name("VH2").unwrap()]
@@ -265,7 +268,7 @@ mod tests {
 
     #[test]
     fn more_mcs_help_memory_bound_mixes() {
-        let r = figure6a(&Machines::builtin(), &RunConfig::quick(), &quick_mixes()).unwrap();
+        let r = figure6a(&session(), &RunConfig::quick(), &quick_mixes()).unwrap();
         let one = r.cell(1, 8).unwrap().speedup_hvh;
         let four = r.cell(4, 8).unwrap().speedup_hvh;
         assert!(
@@ -278,7 +281,7 @@ mod tests {
 
     #[test]
     fn row_buffers_help_and_saturate() {
-        let r = figure6b(&Machines::builtin(), &RunConfig::quick(), &quick_mixes()).unwrap();
+        let r = figure6b(&session(), &RunConfig::quick(), &quick_mixes()).unwrap();
         assert_eq!(r.cells.len(), 8);
         let rb1 = r.cell(4, 1).unwrap().speedup_hvh;
         let rb4 = r.cell(4, 4).unwrap().speedup_hvh;

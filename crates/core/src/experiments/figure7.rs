@@ -7,7 +7,7 @@ use stacksim_types::ConfigError;
 use stacksim_workload::Mix;
 
 use crate::config::SystemConfig;
-use crate::runner::{run_matrix, RunConfig, RunPoint};
+use crate::runner::{RunConfig, RunPoint, Session};
 
 use super::{gm_all, gm_memory_intensive};
 #[cfg(test)]
@@ -121,6 +121,7 @@ impl Figure7Result {
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn figure7(
+    session: &Session,
     base: &SystemConfig,
     run: &RunConfig,
     mixes: &[&'static Mix],
@@ -139,7 +140,7 @@ pub fn figure7(
         .iter()
         .flat_map(|&mix| cfgs.iter().map(move |cfg| (cfg.clone(), mix, *run)))
         .collect();
-    let results = run_matrix(&points)?;
+    let results = session.run_matrix(&points)?;
     let mut rows = Vec::with_capacity(mixes.len());
     for (i, &mix) in mixes.iter().enumerate() {
         let group = &results[cfgs.len() * i..cfgs.len() * (i + 1)];
@@ -187,6 +188,7 @@ pub fn figure7(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::session;
 
     #[test]
     fn bigger_mshrs_help_stream_mixes() {
@@ -198,7 +200,7 @@ mod tests {
             seed: 0xC0FFEE,
             ..RunConfig::default()
         };
-        let r = figure7(&base, &run, &mixes).unwrap();
+        let r = figure7(&session(), &base, &run, &mixes).unwrap();
         let row = &r.rows[0];
         // 4x capacity must clearly beat the 8-entry baseline on streams.
         let x4 = row.improvement_pct[1];
@@ -211,7 +213,7 @@ mod tests {
     fn dynamic_stays_close_to_best_static() {
         let base = configs::cfg_dual_mc();
         let mixes = [Mix::by_name("VH2").unwrap()];
-        let r = figure7(&base, &RunConfig::quick(), &mixes).unwrap();
+        let r = figure7(&session(), &base, &RunConfig::quick(), &mixes).unwrap();
         let row = &r.rows[0];
         let best_static = row.improvement_pct[..3]
             .iter()

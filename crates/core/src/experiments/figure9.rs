@@ -8,7 +8,7 @@ use stacksim_types::ConfigError;
 use stacksim_workload::Mix;
 
 use crate::config::SystemConfig;
-use crate::runner::{run_matrix, RunConfig, RunPoint};
+use crate::runner::{RunConfig, RunPoint, Session};
 
 use super::{gm_all, gm_memory_intensive};
 
@@ -119,6 +119,7 @@ impl Figure9Result {
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn figure9(
+    session: &Session,
     base: &SystemConfig,
     run: &RunConfig,
     mixes: &[&'static Mix],
@@ -137,7 +138,7 @@ pub fn figure9(
         .iter()
         .flat_map(|&mix| cfgs.iter().map(move |cfg| (cfg.clone(), mix, *run)))
         .collect();
-    let results = run_matrix(&points)?;
+    let results = session.run_matrix(&points)?;
     let mut rows = Vec::with_capacity(mixes.len());
     let mut vbf_probe_sum = 0.0;
     let mut vbf_probe_count = 0usize;
@@ -199,12 +200,13 @@ pub fn figure9(
 mod tests {
     use super::*;
     use crate::configs;
+    use crate::experiments::session;
 
     #[test]
     fn vbf_tracks_the_ideal_cam() {
         let base = configs::cfg_quad_mc();
         let mixes = [Mix::by_name("VH1").unwrap()];
-        let r = figure9(&base, &RunConfig::quick(), &mixes).unwrap();
+        let r = figure9(&session(), &base, &RunConfig::quick(), &mixes).unwrap();
         let row = &r.rows[0];
         let ideal = row.improvement_pct[0];
         let vbf = row.improvement_pct[1];
@@ -226,7 +228,7 @@ mod tests {
     fn table_mentions_probe_statistic() {
         let base = configs::cfg_dual_mc();
         let mixes = [Mix::by_name("VH2").unwrap()];
-        let r = figure9(&base, &RunConfig::quick(), &mixes).unwrap();
+        let r = figure9(&session(), &base, &RunConfig::quick(), &mixes).unwrap();
         let s = r.table().to_string();
         assert!(s.contains("probes/access"));
         assert!(s.contains("V+D"));

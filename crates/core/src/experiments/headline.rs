@@ -8,8 +8,7 @@ use stacksim_types::ConfigError;
 use stacksim_workload::Mix;
 
 use crate::config::SystemConfig;
-use crate::runner::{run_matrix, RunConfig, RunPoint};
-use crate::scenario::Machines;
+use crate::runner::{RunConfig, RunPoint, Session};
 
 use super::gm_memory_intensive;
 
@@ -67,10 +66,11 @@ impl HeadlineResult {
 /// Returns [`ConfigError`] if a configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn headline(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<HeadlineResult, ConfigError> {
+    let machines = session.machines();
     let cfg_2d = machines.m2d.clone();
     let cfg_fast = machines.m3d_fast.clone();
     let cfg_aggr = machines.quad_mc.clone();
@@ -88,7 +88,7 @@ pub fn headline(
         .iter()
         .flat_map(|&mix| cfgs.iter().map(move |cfg| (cfg.clone(), mix, *run)))
         .collect();
-    let results = run_matrix(&points)?;
+    let results = session.run_matrix(&points)?;
     let mut fast_over_2d = Vec::new();
     let mut aggr_over_fast = Vec::new();
     let mut mha_over_aggr = Vec::new();
@@ -113,11 +113,12 @@ pub fn headline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::session;
 
     #[test]
     fn cumulative_ordering_holds() {
         let mixes = [Mix::by_name("VH1").unwrap(), Mix::by_name("H1").unwrap()];
-        let r = headline(&Machines::builtin(), &RunConfig::quick(), &mixes).unwrap();
+        let r = headline(&session(), &RunConfig::quick(), &mixes).unwrap();
         assert!(r.fast_over_2d > 1.1, "3D-fast/2D {:.2}", r.fast_over_2d);
         assert!(
             r.aggressive_over_fast > 1.0,

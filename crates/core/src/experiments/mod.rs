@@ -1,9 +1,11 @@
 //! Experiment drivers, one per table/figure of the paper's evaluation.
 //!
-//! Every driver takes a [`RunConfig`](crate::runner::RunConfig) so callers
-//! choose fidelity (tests run short windows; the bench harness runs longer
-//! ones), returns structured rows, and renders the same table the paper
-//! prints via [`Table`](stacksim_stats::Table).
+//! Every driver takes a [`Session`](crate::runner::Session) — the machine
+//! set, worker count and run memo shared by the whole evaluation — and a
+//! [`RunConfig`](crate::runner::RunConfig) so callers choose fidelity
+//! (tests run short windows; `reproduce` runs longer ones), returns
+//! structured rows, and renders the same table the paper prints via
+//! [`Table`](stacksim_stats::Table).
 
 mod ablation;
 mod fairness;
@@ -30,6 +32,12 @@ pub use thermal::{thermal_check, ThermalCheck};
 
 use stacksim_stats::geometric_mean;
 use stacksim_workload::{Mix, MixClass};
+
+/// A fresh session over the built-in machines, for the drivers' unit tests.
+#[cfg(test)]
+fn session() -> crate::runner::Session {
+    crate::runner::Session::new(crate::scenario::Machines::builtin())
+}
 
 /// Geometric mean over the rows whose mix is memory-intensive (H and VH) —
 /// the paper's primary summary statistic.

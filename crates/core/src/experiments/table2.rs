@@ -6,8 +6,7 @@ use stacksim_stats::Table;
 use stacksim_types::ConfigError;
 use stacksim_workload::{Benchmark, Mix, SyntheticWorkload, TraceGenerator};
 
-use crate::runner::{default_jobs, parallel_map, run_matrix, RunConfig, RunPoint};
-use crate::scenario::Machines;
+use crate::runner::{parallel_map, RunConfig, RunPoint, Session};
 use crate::system::System;
 
 /// One benchmark's characterization row.
@@ -29,17 +28,17 @@ pub struct Table2aRow {
 /// validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn table2a(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     benchmarks: &[&'static Benchmark],
 ) -> Result<Vec<Table2aRow>, ConfigError> {
-    let mut cfg = machines.m2d.clone();
+    let mut cfg = session.machines().m2d.clone();
     cfg.cores = 1;
     cfg.core = cfg.core.without_prefetchers();
     cfg.l2 = CacheConfig::dl2_6mb();
     cfg.l2_prefetch = false;
     // Each benchmark's characterization run is independent — fan them out.
-    parallel_map(default_jobs(), benchmarks, |&benchmark| {
+    parallel_map(session.jobs(), benchmarks, |&benchmark| {
         let generator: Vec<Box<dyn TraceGenerator>> =
             vec![Box::new(SyntheticWorkload::new(benchmark, run.seed, 0))];
         let mut system = System::with_generators(&cfg, generator)?;
@@ -49,6 +48,7 @@ pub fn table2a(
         system.run_cycles(run.measure_cycles);
         let misses = system.stats().get("l2.misses").unwrap_or(0.0) - misses0;
         let committed = (system.core_committed(0) - committed0).max(1);
+        session.count_cycles(&system);
         Ok(Table2aRow {
             benchmark,
             measured_mpki: misses / committed as f64 * 1000.0,
@@ -95,13 +95,13 @@ pub struct Table2bRow {
 /// Returns [`ConfigError`] if the baseline configuration fails validation.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn table2b(
-    machines: &Machines,
+    session: &Session,
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<Vec<Table2bRow>, ConfigError> {
-    let cfg = machines.m2d.clone();
+    let cfg = session.machines().m2d.clone();
     let points: Vec<RunPoint> = mixes.iter().map(|&mix| (cfg.clone(), mix, *run)).collect();
-    let results = run_matrix(&points)?;
+    let results = session.run_matrix(&points)?;
     Ok(mixes
         .iter()
         .zip(results)
@@ -137,6 +137,7 @@ pub fn table2b_table(rows: &[Table2bRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::session;
 
     #[test]
     fn mpki_ordering_matches_the_paper() {
@@ -147,7 +148,7 @@ mod tests {
             .iter()
             .map(|n| Benchmark::by_name(n).unwrap())
             .collect();
-        let rows = table2a(&Machines::builtin(), &RunConfig::quick(), &benchmarks).unwrap();
+        let rows = table2a(&session(), &RunConfig::quick(), &benchmarks).unwrap();
         assert!(rows[0].measured_mpki > rows[1].measured_mpki);
         assert!(rows[1].measured_mpki > rows[2].measured_mpki);
         assert!(rows[2].measured_mpki > rows[3].measured_mpki);
@@ -167,7 +168,7 @@ mod tests {
     #[test]
     fn hmipc_classes_are_ordered() {
         let mixes = [Mix::by_name("VH1").unwrap(), Mix::by_name("M3").unwrap()];
-        let rows = table2b(&Machines::builtin(), &RunConfig::quick(), &mixes).unwrap();
+        let rows = table2b(&session(), &RunConfig::quick(), &mixes).unwrap();
         assert!(
             rows[0].measured_hmipc < rows[1].measured_hmipc,
             "VH1 ({:.3}) must be slower than M3 ({:.3})",
@@ -181,7 +182,7 @@ mod tests {
     #[test]
     fn table2a_renders() {
         let benchmarks = [Benchmark::by_name("namd").unwrap()];
-        let rows = table2a(&Machines::builtin(), &RunConfig::quick(), &benchmarks).unwrap();
+        let rows = table2a(&session(), &RunConfig::quick(), &benchmarks).unwrap();
         let t = table2a_table(&rows).to_string();
         assert!(t.contains("namd") && t.contains("F'06"));
     }

@@ -13,7 +13,7 @@
 //! * [`System`], the cycle-driven machine model;
 //! * [`runner`], the warmup + measure harness producing per-core IPC and
 //!   HMIPC exactly as the paper's methodology prescribes (§2.4), plus the
-//!   parallel experiment engine — [`runner::run_matrix`] fans independent
+//!   parallel experiment engine — a [`runner::Session`] fans independent
 //!   simulation points across worker threads and memoizes each distinct
 //!   `(config, mix, window)` triple, with output bit-identical to a
 //!   sequential loop;

@@ -12,23 +12,23 @@
 //!
 //! Each run is a pure function of `(SystemConfig, Mix, RunConfig)`: the
 //! simulator is deterministic per seed and shares no state across runs.
-//! That purity is what the parallel engine exploits — [`run_matrix`] fans
-//! independent points across worker threads with bit-identical results to
-//! a sequential loop, and [`run_mix_cached`] memoizes on the full
-//! configuration identity so baselines shared between figures simulate
-//! exactly once per process.
+//! That purity is what the parallel engine exploits — a [`Session`]'s
+//! [`run_matrix`](Session::run_matrix) fans independent points across
+//! worker threads with bit-identical results to a sequential loop, and
+//! memoizes on the full configuration identity so baselines shared between
+//! figures simulate exactly once per session.
 
 use core::fmt;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use stacksim_stats::{harmonic_mean, MetricsSink};
 use stacksim_types::ConfigError;
 use stacksim_workload::Mix;
 
 use crate::config::SystemConfig;
-use crate::scenario::ScenarioHash;
+use crate::scenario::{Machines, ScenarioHash};
 use crate::system::System;
 use crate::trace::{Trace, TraceConfig};
 
@@ -197,6 +197,12 @@ impl RunResult {
 #[must_use = "the run's results or the reason the configuration is invalid"]
 pub fn run_mix(cfg: &SystemConfig, mix: &Mix, run: &RunConfig) -> Result<RunResult, ConfigError> {
     let mut system = System::for_mix(cfg, mix, run.seed)?;
+    Ok(measure(&mut system, cfg, mix, run))
+}
+
+/// The measurement protocol of [`run_mix`] on a freshly built `system`:
+/// warmup, the traced measured window, per-core IPC and HMIPC.
+fn measure(system: &mut System, cfg: &SystemConfig, mix: &Mix, run: &RunConfig) -> RunResult {
     system.set_fast_forward(run.fast_forward);
     system.run_cycles(run.warmup_cycles);
     if run.trace.any() {
@@ -229,10 +235,8 @@ pub fn run_mix(cfg: &SystemConfig, mix: &Mix, run: &RunConfig) -> Result<RunResu
         .map(|&c| (c.max(1)) as f64 / run.measure_cycles as f64)
         .collect();
     let hmipc = harmonic_mean(&per_core_ipc).expect("ipc values are positive"); // simlint::allow(P002, reason = "per-core IPCs are floored to 1/window, so the harmonic mean is defined")
-    SKIPPED_CYCLES_TOTAL.fetch_add(system.skipped_cycles(), Ordering::Relaxed);
-    TICKED_CYCLES_TOTAL.fetch_add(system.ticked_cycles(), Ordering::Relaxed);
     let trace = system.take_trace();
-    Ok(RunResult {
+    RunResult {
         mix: mix.name,
         per_core_ipc,
         hmipc,
@@ -240,7 +244,7 @@ pub fn run_mix(cfg: &SystemConfig, mix: &Mix, run: &RunConfig) -> Result<RunResu
         zero_commit_cores,
         stats: system.metrics(),
         trace,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -251,81 +255,9 @@ pub fn run_mix(cfg: &SystemConfig, mix: &Mix, run: &RunConfig) -> Result<RunResu
 /// it, and the run window.
 pub type RunPoint = (SystemConfig, &'static Mix, RunConfig);
 
-/// Process-wide totals of cycles fast-forwarded vs fully ticked across
-/// every [`run_mix`] in this process. Memoized results do not re-count:
-/// the totals measure simulation work actually performed.
-static SKIPPED_CYCLES_TOTAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static TICKED_CYCLES_TOTAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// `(skipped, ticked)` cycle totals over every run simulated so far in
-/// this process (fresh simulations only — memo hits add nothing). The
-/// reproduce binary snapshots deltas around each experiment to report
-/// per-experiment skipped-cycle fractions.
-pub fn skip_totals() -> (u64, u64) {
-    (
-        SKIPPED_CYCLES_TOTAL.load(Ordering::Relaxed),
-        TICKED_CYCLES_TOTAL.load(Ordering::Relaxed),
-    )
-}
-
-/// Process-global default worker count set by `--jobs` (0 = unset).
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
 /// A per-point progress callback: `(points_done, points_total)` for the
 /// matrix currently running.
 pub type ProgressFn = Box<dyn Fn(usize, usize) + Send + Sync>;
-
-/// The process-wide progress reporter (see [`set_progress_reporter`]).
-static PROGRESS: OnceLock<Mutex<Option<ProgressFn>>> = OnceLock::new();
-
-fn progress_slot() -> &'static Mutex<Option<ProgressFn>> {
-    PROGRESS.get_or_init(|| Mutex::new(None))
-}
-
-/// Installs (or, with `None`, removes) a process-wide callback invoked once
-/// per completed matrix point by [`ParallelRunner::run_matrix`], with the
-/// number of points finished so far and the matrix size. Callbacks may be
-/// invoked from any worker thread; keep them cheap and re-entrant.
-pub fn set_progress_reporter(reporter: Option<ProgressFn>) {
-    *progress_slot().lock().expect("progress slot poisoned") = reporter; // simlint::allow(P002, reason = "slot mutex poisoning means a worker already panicked; propagating is correct")
-}
-
-fn report_progress(done: usize, total: usize) {
-    if let Some(f) = progress_slot()
-        .lock()
-        .expect("progress slot poisoned") // simlint::allow(P002, reason = "slot mutex poisoning means a worker already panicked; propagating is correct")
-        .as_ref()
-    {
-        f(done, total);
-    }
-}
-
-/// Sets the process-wide default worker count used by [`ParallelRunner::new`]
-/// (and therefore [`run_matrix`] / [`parallel_map`]). Overrides the
-/// `RAYON_NUM_THREADS` environment variable; `0` restores auto-detection.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Resolves the worker count: explicit [`set_default_jobs`] value, then the
-/// `RAYON_NUM_THREADS` environment variable, then the machine's available
-/// parallelism.
-pub fn default_jobs() -> usize {
-    let set = DEFAULT_JOBS.load(Ordering::Relaxed);
-    if set > 0 {
-        return set;
-    }
-    if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1)
-}
 
 /// Fans independent work items across a fixed pool of worker threads,
 /// returning the outputs **in input order** regardless of which worker
@@ -366,85 +298,12 @@ where
         .collect()
 }
 
-/// The parallel experiment engine: fans independent [`run_mix`] points
-/// across threads and deduplicates repeated points through the process-wide
-/// memo cache.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelRunner {
-    jobs: usize,
-}
-
-impl ParallelRunner {
-    /// A runner with the default worker count (see [`set_default_jobs`]
-    /// and `RAYON_NUM_THREADS`).
-    pub fn new() -> ParallelRunner {
-        ParallelRunner {
-            jobs: default_jobs(),
-        }
-    }
-
-    /// A runner with an explicit worker count (`0` means auto-detect).
-    pub fn with_jobs(jobs: usize) -> ParallelRunner {
-        if jobs == 0 {
-            ParallelRunner::new()
-        } else {
-            ParallelRunner { jobs }
-        }
-    }
-
-    /// The worker count this runner fans out to.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Runs every point of the matrix, in parallel and memoized, returning
-    /// results in input order.
-    ///
-    /// Scheduling cannot perturb the numbers: each point is a pure function
-    /// of its `(config, mix, run)` triple, so the output is bit-identical
-    /// to a sequential loop of [`run_mix`] calls over the same slice.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by input order) [`ConfigError`] if any point has
-    /// an inconsistent configuration.
-    #[must_use = "the matrix results or the reason a configuration is invalid"]
-    pub fn run_matrix(&self, points: &[RunPoint]) -> Result<Vec<Arc<RunResult>>, ConfigError> {
-        let done = AtomicUsize::new(0);
-        let total = points.len();
-        parallel_map(self.jobs, points, |(cfg, mix, run)| {
-            let result = run_mix_cached(cfg, mix, run);
-            report_progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-            result
-        })
-        .into_iter()
-        .collect()
-    }
-}
-
-impl Default for ParallelRunner {
-    fn default() -> Self {
-        ParallelRunner::new()
-    }
-}
-
-/// Runs a matrix of points on a default-configured [`ParallelRunner`].
-///
-/// # Errors
-///
-/// Returns the first (by input order) [`ConfigError`] if any point has an
-/// inconsistent configuration.
-#[must_use = "the matrix results or the reason a configuration is invalid"]
-pub fn run_matrix(points: &[RunPoint]) -> Result<Vec<Arc<RunResult>>, ConfigError> {
-    ParallelRunner::new().run_matrix(points)
-}
-
 /// Memo cache key: the machine's [`ScenarioHash`] leads, so a lookup
 /// hashes one precomputed u64 instead of re-walking the whole
 /// configuration; the full configuration stays in the key as the equality
 /// backstop, so two machines colliding on the 64-bit digest still memoize
 /// separately. This is the same digest `reproduce --scenario` prints,
-/// making "one hash = one simulated machine" the process-wide contract.
+/// making "one hash = one simulated machine" the session-wide contract.
 #[derive(Clone, PartialEq, Eq)]
 struct MemoKey {
     scenario: ScenarioHash,
@@ -473,8 +332,9 @@ impl std::hash::Hash for MemoKey {
     }
 }
 
-/// A durable second-tier result cache consulted by [`run_mix_cached`]
-/// after the in-process memo misses and before simulating.
+/// A durable second-tier result cache consulted by
+/// [`Session::run_mix_cached`] after the session's memo misses and before
+/// simulating.
 ///
 /// The canonical implementation is `stacksim-store`'s on-disk
 /// content-addressed store (see `docs/STORE.md`); the trait lives here so
@@ -491,205 +351,270 @@ pub trait ResultStore: Send + Sync {
     fn store(&self, cfg: &SystemConfig, mix: &'static str, run: &RunConfig, result: &RunResult);
 }
 
-/// The process-wide durable store, if one was installed (tier 2 of the
-/// lookup; tier 1 is the in-process memo).
-static RESULT_STORE: OnceLock<Mutex<Option<Arc<dyn ResultStore>>>> = OnceLock::new();
-
-fn result_store_slot() -> &'static Mutex<Option<Arc<dyn ResultStore>>> {
-    RESULT_STORE.get_or_init(|| Mutex::new(None))
-}
-
-/// Installs (or, with `None`, removes) the process-wide durable result
-/// store. Once installed, every [`run_mix_cached`] miss of the in-process
-/// memo consults the store before simulating, and every fresh simulation
-/// is written through to it.
-///
-/// Traced runs ([`TraceConfig::any`]) bypass the store entirely: event
-/// streams are not persisted, so serving a stored result for a traced
-/// request would silently drop its streams.
-pub fn set_result_store(store: Option<Arc<dyn ResultStore>>) {
-    *result_store_slot().lock().expect("store slot poisoned") = store; // simlint::allow(P002, reason = "slot mutex poisoning means a worker already panicked; propagating is correct")
-}
-
-fn result_store() -> Option<Arc<dyn ResultStore>> {
-    result_store_slot()
-        .lock()
-        .expect("store slot poisoned") // simlint::allow(P002, reason = "slot mutex poisoning means a worker already panicked; propagating is correct")
-        .clone()
-}
-
-/// Process-wide tier accounting for [`run_mix_cached`] (see
-/// [`tier_stats`]).
-static STORE_HITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static STORE_MISSES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static SIMULATED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// `(store_hits, store_misses, simulated)` totals across every
-/// [`run_mix_cached`] call in this process: points served from the durable
-/// store, points the store was asked for but did not have, and points that
-/// ran the simulator. In-process memo hits touch none of the three. With
-/// no store installed, `store_hits`/`store_misses` stay zero and
-/// `simulated` still counts fresh runs.
-pub fn tier_stats() -> (u64, u64, u64) {
-    (
-        STORE_HITS.load(Ordering::Relaxed),
-        STORE_MISSES.load(Ordering::Relaxed),
-        SIMULATED.load(Ordering::Relaxed),
-    )
-}
-
-/// Where [`run_mix_cached_with_source`] found a result.
+/// Where [`Session::run_mix_cached`] found a result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunSource {
-    /// Served by the in-process memo (including waiting on another thread
+    /// Served by the session's memo (including waiting on another thread
     /// that was already computing the same point).
     Memo,
-    /// Loaded from the installed durable [`ResultStore`].
+    /// Loaded from the session's durable [`ResultStore`].
     Store,
     /// Freshly simulated by this call.
     Simulated,
-}
-
-impl RunSource {
-    /// Lower-case label used in logs and the `stacksim-serve` event stream.
-    pub const fn label(self) -> &'static str {
-        match self {
-            RunSource::Memo => "memo",
-            RunSource::Store => "store",
-            RunSource::Simulated => "computed",
-        }
-    }
 }
 
 /// Per-key cell: concurrent callers of the same point block on one cell
 /// while the first caller simulates, instead of duplicating the run.
 type MemoCell = Arc<OnceLock<Result<Arc<RunResult>, ConfigError>>>;
 
-/// The process-wide memo of completed runs.
-static MEMO: OnceLock<Mutex<HashMap<MemoKey, MemoCell>>> = OnceLock::new();
-
-fn memo() -> &'static Mutex<HashMap<MemoKey, MemoCell>> {
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+/// Tier and cycle accounting of one [`Session`].
+#[derive(Default)]
+struct Counters {
+    store_hits: AtomicU64,
+    store_misses: AtomicU64,
+    simulated: AtomicU64,
+    skipped_cycles: AtomicU64,
+    ticked_cycles: AtomicU64,
 }
 
-/// Number of distinct `(config, mix, run)` points simulated so far in this
-/// process (diagnostic; pairs with the reproduce binary's run accounting).
-pub fn memo_len() -> usize {
-    // simlint::allow(P002, reason = "memo mutex poisoning means a worker already panicked; propagating is correct")
-    // simlint::allow(L002, reason = "`.len()` here is HashMap::len on the guard; the Store::len edge is simlint's documented name-collision over-approximation")
-    memo().lock().expect("memo poisoned").len()
-}
-
-/// Snapshot of the memo's cells, taken under the lock and returned by
-/// value. Keeping the guard confined to this helper means callers iterate
-/// — and in particular hit the durable store or the simulator — with the
-/// memo lock already released.
-fn memo_snapshot() -> Vec<(MemoKey, MemoCell)> {
-    let map = memo().lock().expect("memo poisoned"); // simlint::allow(P002, reason = "memo mutex poisoning means a worker already panicked; propagating is correct")
-    map.iter().map(|(k, v)| (k.clone(), v.clone())).collect() // simlint::allow(D003, reason = "snapshot of the process-wide memo; consumers are order-independent")
-}
-
-/// Looks up (or inserts) the cell for `key`, holding the memo lock only
-/// for the map operation itself. Callers fill the cell — tier-2 store
-/// lookup, simulation — after this returns, so the process-wide lock is
-/// never held across file I/O.
-fn memo_cell(key: MemoKey) -> MemoCell {
-    // simlint::allow(P002, reason = "memo mutex poisoning means a worker already panicked; propagating is correct")
-    // simlint::allow(L002, reason = "HashMap::entry only; the path to Store I/O is the `.len()` name-collision over-approximation (entry -> find -> len), not a real call")
-    let mut map = memo().lock().expect("memo poisoned");
-    map.entry(key).or_default().clone()
-}
-
-/// Visits every *successful* memoized run in this process, in no
-/// particular order. The post-hoc audit hook: `reproduce
-/// --check-protocol` replays the protocol checker over every traced run
-/// the experiments produced, without re-simulating anything.
+/// One experiment session: the machine set the drivers draw from, the
+/// worker count, the memo of completed runs, the optional durable
+/// [`ResultStore`], the progress callback and the run accounting.
 ///
-/// The callback runs outside the memo lock, so it may itself trigger
-/// [`run_mix_cached`] calls; runs completing concurrently with the
-/// snapshot may or may not be visited.
-pub fn for_each_cached_run<F>(mut f: F)
-where
-    F: FnMut(&SystemConfig, &'static str, &RunConfig, &Arc<RunResult>),
-{
-    let cells = memo_snapshot();
-    for (key, cell) in &cells {
-        if let Some(Ok(result)) = cell.get() {
-            f(&key.cfg, key.mix, &key.run, result);
+/// Every run point is a pure function of its `(config, mix, run)` triple,
+/// so the session memoizes on that identity: a baseline shared between
+/// figures simulates exactly once per session, and
+/// [`run_matrix`](Self::run_matrix) fans a matrix across worker threads
+/// with results bit-identical to a sequential loop of [`run_mix`] calls.
+/// Two sessions share nothing.
+pub struct Session {
+    machines: Machines,
+    jobs: usize,
+    store: Option<Arc<dyn ResultStore>>,
+    progress: Option<ProgressFn>,
+    /// Completed and in-flight runs. Its lock only ever covers a map
+    /// lookup or insert, never a simulation, so a panic elsewhere cannot
+    /// leave the map half-updated: a poisoned lock is recovered, not
+    /// propagated.
+    memo: Mutex<HashMap<MemoKey, MemoCell>>,
+    counters: Counters,
+}
+
+impl Session {
+    /// A session over `machines` with one worker per available CPU, no
+    /// durable store and no progress callback.
+    pub fn new(machines: Machines) -> Session {
+        Session {
+            machines,
+            jobs: std::thread::available_parallelism().map_or(1, usize::from),
+            store: None,
+            progress: None,
+            memo: Mutex::new(HashMap::new()),
+            counters: Counters::default(),
         }
     }
-}
 
-/// Memoized [`run_mix`]: the first call for a given `(cfg, mix, run)`
-/// triple simulates, every later call — from any thread — returns the same
-/// shared [`RunResult`]. Baselines shared across experiments therefore
-/// simulate exactly once per process.
-///
-/// The mix is taken by `'static` reference (the workload registry) so the
-/// name used in the key cannot outlive or diverge from its definition.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if the configuration is inconsistent (also
-/// memoized: a bad point is validated once).
-#[must_use = "the run's results or the reason the configuration is invalid"]
-pub fn run_mix_cached(
-    cfg: &SystemConfig,
-    mix: &'static Mix,
-    run: &RunConfig,
-) -> Result<Arc<RunResult>, ConfigError> {
-    run_mix_cached_with_source(cfg, mix, run).map(|(result, _)| result)
-}
+    /// This session with `jobs` worker threads (at least one).
+    pub fn with_jobs(mut self, jobs: usize) -> Session {
+        self.jobs = jobs.max(1);
+        self
+    }
 
-/// [`run_mix_cached`] plus the provenance of the returned result: memo
-/// hit, durable-store hit, or fresh simulation. The `stacksim-serve`
-/// daemon streams this per point; plain callers use [`run_mix_cached`].
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if the configuration is inconsistent (also
-/// memoized: a bad point is validated once).
-#[must_use = "the run's results or the reason the configuration is invalid"]
-pub fn run_mix_cached_with_source(
-    cfg: &SystemConfig,
-    mix: &'static Mix,
-    run: &RunConfig,
-) -> Result<(Arc<RunResult>, RunSource), ConfigError> {
-    let cell = memo_cell(MemoKey::new(cfg, mix.name, run));
-    // If the closure runs, this cell is ours to fill: tier 2 (durable
-    // store), then the simulator. Otherwise the point was already memoized
-    // (or another thread is computing it and get_or_init waits) — a memo
-    // hit either way.
-    let source = std::cell::Cell::new(RunSource::Memo);
-    let result = cell
-        .get_or_init(|| {
-            // Traced runs bypass the store: event streams are not
-            // persisted, so a stored result could not honor the request.
-            let store = if run.trace.any() {
-                None
-            } else {
-                result_store()
-            };
-            if let Some(store) = &store {
-                if let Some(stored) = store.load(cfg, mix.name, run) {
-                    STORE_HITS.fetch_add(1, Ordering::Relaxed);
-                    source.set(RunSource::Store);
-                    return Ok(Arc::new(stored));
-                }
-                STORE_MISSES.fetch_add(1, Ordering::Relaxed);
-            }
-            let result = run_mix(cfg, mix, run).map(Arc::new);
-            if let Ok(result) = &result {
-                SIMULATED.fetch_add(1, Ordering::Relaxed);
-                source.set(RunSource::Simulated);
-                if let Some(store) = &store {
-                    store.store(cfg, mix.name, run, result);
-                }
+    /// This session with a durable result store behind its memo. Every
+    /// memo miss consults the store before simulating, and every fresh
+    /// simulation is written through to it.
+    ///
+    /// Traced runs ([`TraceConfig::any`]) bypass the store entirely: event
+    /// streams are not persisted, so serving a stored result for a traced
+    /// request would silently drop its streams.
+    pub fn with_store(mut self, store: Arc<dyn ResultStore>) -> Session {
+        self.store = Some(store);
+        self
+    }
+
+    /// This session with a callback invoked once per completed matrix
+    /// point by [`run_matrix`](Self::run_matrix), with the number of
+    /// points finished so far and the matrix size. Callbacks may be
+    /// invoked from any worker thread; keep them cheap and re-entrant.
+    pub fn with_progress(mut self, progress: ProgressFn) -> Session {
+        self.progress = Some(progress);
+        self
+    }
+
+    /// The machine set experiment drivers draw from.
+    pub fn machines(&self) -> &Machines {
+        &self.machines
+    }
+
+    /// The worker count matrices and drivers fan out to.
+    pub fn jobs(&self) -> usize {
+        self.jobs
+    }
+
+    /// Runs every point of the matrix, in parallel and memoized, returning
+    /// results in input order.
+    ///
+    /// Scheduling cannot perturb the numbers: each point is a pure function
+    /// of its `(config, mix, run)` triple, so the output is bit-identical
+    /// to a sequential loop of [`run_mix`] calls over the same slice.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first (by input order) [`ConfigError`] if any point has
+    /// an inconsistent configuration.
+    #[must_use = "the matrix results or the reason a configuration is invalid"]
+    pub fn run_matrix(&self, points: &[RunPoint]) -> Result<Vec<Arc<RunResult>>, ConfigError> {
+        let done = AtomicUsize::new(0);
+        let total = points.len();
+        parallel_map(self.jobs, points, |(cfg, mix, run)| {
+            let result = self.run_mix_cached(cfg, mix, run).map(|(result, _)| result);
+            if let Some(progress) = &self.progress {
+                progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
             }
             result
         })
-        .clone()?;
-    Ok((result, source.get()))
+        .into_iter()
+        .collect()
+    }
+
+    /// Memoized [`run_mix`], plus where the result came from: the first
+    /// call for a given `(cfg, mix, run)` triple consults the durable store
+    /// and otherwise simulates; every later call — from any thread —
+    /// returns the same shared [`RunResult`] as a [`RunSource::Memo`] hit.
+    ///
+    /// The mix is taken by `'static` reference (the workload registry) so the
+    /// name used in the key cannot outlive or diverge from its definition.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] if the configuration is inconsistent (also
+    /// memoized: a bad point is validated once).
+    #[must_use = "the run's results or the reason the configuration is invalid"]
+    pub fn run_mix_cached(
+        &self,
+        cfg: &SystemConfig,
+        mix: &'static Mix,
+        run: &RunConfig,
+    ) -> Result<(Arc<RunResult>, RunSource), ConfigError> {
+        let cell = self.memo_cell(MemoKey::new(cfg, mix.name, run));
+        // If the closure runs, this cell is ours to fill: tier 2 (durable
+        // store), then the simulator. Otherwise the point was already memoized
+        // (or another thread is computing it and get_or_init waits) — a memo
+        // hit either way.
+        let source = std::cell::Cell::new(RunSource::Memo);
+        let result = cell
+            .get_or_init(|| {
+                // Traced runs bypass the store: event streams are not
+                // persisted, so a stored result could not honor the request.
+                let store = self.store.as_deref().filter(|_| !run.trace.any());
+                if let Some(store) = store {
+                    if let Some(stored) = store.load(cfg, mix.name, run) {
+                        self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
+                        source.set(RunSource::Store);
+                        return Ok(Arc::new(stored));
+                    }
+                    self.counters.store_misses.fetch_add(1, Ordering::Relaxed);
+                }
+                let mut system = System::for_mix(cfg, mix, run.seed)?;
+                let result = Arc::new(measure(&mut system, cfg, mix, run));
+                self.count_cycles(&system);
+                self.counters.simulated.fetch_add(1, Ordering::Relaxed);
+                source.set(RunSource::Simulated);
+                if let Some(store) = store {
+                    store.store(cfg, mix.name, run, &result);
+                }
+                Ok(result)
+            })
+            .clone()?;
+        Ok((result, source.get()))
+    }
+
+    /// Adds a finished system's fast-forwarded and fully ticked cycles to
+    /// the session's cycle totals. [`run_mix_cached`](Self::run_mix_cached)
+    /// counts its own simulations; drivers that build a [`System`]
+    /// directly call this so their work shows in
+    /// [`skip_totals`](Self::skip_totals) too.
+    pub fn count_cycles(&self, system: &System) {
+        let c = &self.counters;
+        c.skipped_cycles
+            .fetch_add(system.skipped_cycles(), Ordering::Relaxed);
+        c.ticked_cycles
+            .fetch_add(system.ticked_cycles(), Ordering::Relaxed);
+    }
+
+    /// `(skipped, ticked)` cycle totals over every simulation this session
+    /// performed (fresh simulations only — memo and store hits add
+    /// nothing). The reproduce binary snapshots deltas around each
+    /// experiment to report per-experiment skipped-cycle fractions.
+    pub fn skip_totals(&self) -> (u64, u64) {
+        let c = &self.counters;
+        (
+            c.skipped_cycles.load(Ordering::Relaxed),
+            c.ticked_cycles.load(Ordering::Relaxed),
+        )
+    }
+
+    /// `(store_hits, store_misses, simulated)` totals across every
+    /// [`run_mix_cached`](Self::run_mix_cached) call of this session:
+    /// points served from the durable store, points the store was asked
+    /// for but did not have, and points that ran the simulator. Memo hits
+    /// touch none of the three. With no store, `store_hits`/`store_misses`
+    /// stay zero and `simulated` still counts fresh runs.
+    pub fn tier_stats(&self) -> (u64, u64, u64) {
+        let c = &self.counters;
+        (
+            c.store_hits.load(Ordering::Relaxed),
+            c.store_misses.load(Ordering::Relaxed),
+            c.simulated.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Number of distinct `(config, mix, run)` points this session has
+    /// memoized (diagnostic; pairs with the reproduce binary's run
+    /// accounting).
+    pub fn memo_len(&self) -> usize {
+        // simlint::allow(L002, reason = "`.len()` here is HashMap::len on the guard; the Store::len edge is simlint's documented name-collision over-approximation")
+        let map = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        map.len()
+    }
+
+    /// Visits every *successful* memoized run of this session, in no
+    /// particular order. The post-hoc audit hook: `reproduce
+    /// --check-protocol` replays the protocol checker over every traced run
+    /// the experiments produced, without re-simulating anything.
+    ///
+    /// The callback runs outside the memo lock, so it may itself trigger
+    /// [`run_mix_cached`](Self::run_mix_cached) calls; runs completing
+    /// concurrently with the snapshot may or may not be visited.
+    pub fn for_each_cached_run<F>(&self, mut f: F)
+    where
+        F: FnMut(&SystemConfig, &'static str, &RunConfig, &Arc<RunResult>),
+    {
+        for (key, cell) in &self.memo_snapshot() {
+            if let Some(Ok(result)) = cell.get() {
+                f(&key.cfg, key.mix, &key.run, result);
+            }
+        }
+    }
+
+    /// Snapshot of the memo's cells, taken under the lock and returned by
+    /// value. Keeping the guard confined to this helper means callers iterate
+    /// — and in particular hit the durable store or the simulator — with the
+    /// memo lock already released.
+    fn memo_snapshot(&self) -> Vec<(MemoKey, MemoCell)> {
+        let map = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+
+    /// Looks up (or inserts) the cell for `key`, holding the memo lock only
+    /// for the map operation itself. Callers fill the cell — tier-2 store
+    /// lookup, simulation — after this returns, so the memo lock is never
+    /// held across file I/O.
+    fn memo_cell(&self, key: MemoKey) -> MemoCell {
+        // simlint::allow(L002, reason = "HashMap::entry only; the path to Store I/O is the `.len()` name-collision over-approximation (entry -> find -> len), not a real call")
+        let mut map = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        map.entry(key).or_default().clone()
+    }
 }
 
 #[cfg(test)]
@@ -780,23 +705,26 @@ mod tests {
 
     #[test]
     fn progress_reporter_sees_every_point() {
-        use std::sync::atomic::AtomicUsize;
-        static CALLS: AtomicUsize = AtomicUsize::new(0);
-        static LAST_TOTAL: AtomicUsize = AtomicUsize::new(0);
-        set_progress_reporter(Some(Box::new(|_done, total| {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-            LAST_TOTAL.store(total, Ordering::Relaxed);
-        })));
+        let calls = Arc::new(AtomicUsize::new(0));
+        let last_total = Arc::new(AtomicUsize::new(0));
+        let (c, t) = (Arc::clone(&calls), Arc::clone(&last_total));
+        let session = Session::new(Machines::builtin())
+            .with_jobs(2)
+            .with_progress(Box::new(move |_done, total| {
+                c.fetch_add(1, Ordering::Relaxed);
+                t.store(total, Ordering::Relaxed);
+            }));
         let cfg = configs::cfg_2d();
         let run = RunConfig::quick();
         let points: Vec<RunPoint> = ["M1", "M2"]
             .iter()
             .map(|m| (cfg.clone(), Mix::by_name(m).unwrap(), run))
             .collect();
-        let results = ParallelRunner::with_jobs(2).run_matrix(&points).unwrap();
-        set_progress_reporter(None);
+        let results = session.run_matrix(&points).unwrap();
         assert_eq!(results.len(), 2);
-        assert_eq!(CALLS.load(Ordering::Relaxed), 2);
-        assert_eq!(LAST_TOTAL.load(Ordering::Relaxed), 2);
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        assert_eq!(last_total.load(Ordering::Relaxed), 2);
+        assert_eq!(session.memo_len(), 2);
+        assert_eq!(session.tier_stats(), (0, 0, 2));
     }
 }

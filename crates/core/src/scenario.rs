@@ -361,9 +361,10 @@ impl Scenario {
 /// from the shipped scenario files — the two are golden twins, cross-checked
 /// bit-identical by test.
 ///
-/// Experiment drivers take `&Machines` instead of calling the constructors,
-/// so `reproduce` (and anything else) can re-point the whole evaluation at
-/// an edited scenario directory without recompiling.
+/// Experiment drivers read their machines from the
+/// [`Session`](crate::runner::Session) they are given instead of calling
+/// the constructors, so `reproduce` (and anything else) can re-point the
+/// whole evaluation at an edited scenario directory without recompiling.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Machines {
     /// Off-chip 2D baseline (`scenarios/2d.json`, [`configs::cfg_2d`](crate::configs::cfg_2d)).

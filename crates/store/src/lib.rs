@@ -5,8 +5,8 @@
 //! (`stacksim-store/1`), one per simulated `(machine, mix, window)`
 //! point, keyed by an FNV-1a/64 content hash of the machine's
 //! [`ScenarioHash`], the mix name, the run window and a code-version
-//! stamp ([`stacksim::CODE_VERSION`]). Installed into the runner with
-//! [`stacksim::runner::set_result_store`], it turns every re-run of an
+//! stamp ([`stacksim::CODE_VERSION`]). Attached to a session with
+//! [`stacksim::runner::Session::with_store`], it turns every re-run of an
 //! already-simulated point — in *any* later process — into a file read.
 //!
 //! The trust story is layered:
@@ -28,19 +28,21 @@
 //!
 //! ```no_run
 //! use std::sync::Arc;
-//! use stacksim::runner::{self, run_mix_cached, RunConfig};
+//! use stacksim::runner::{RunConfig, Session};
+//! use stacksim::scenario::Machines;
 //! use stacksim_store::Store;
 //! use stacksim_workload::Mix;
 //!
 //! let store = Arc::new(Store::open("results-store").unwrap());
-//! runner::set_result_store(Some(store));
+//! let session = Session::new(Machines::builtin()).with_store(store);
 //! // First process: simulates and persists. Every later process: file read.
-//! let r = run_mix_cached(
-//!     &stacksim::configs::cfg_2d(),
-//!     Mix::by_name("VH1").unwrap(),
-//!     &RunConfig::quick(),
-//! )
-//! .unwrap();
+//! let (r, _source) = session
+//!     .run_mix_cached(
+//!         &stacksim::configs::cfg_2d(),
+//!         Mix::by_name("VH1").unwrap(),
+//!         &RunConfig::quick(),
+//!     )
+//!     .unwrap();
 //! println!("VH1 HMIPC {:.3}", r.hmipc);
 //! ```
 
@@ -188,8 +190,7 @@ pub struct StoreStats {
 /// files of in-flight atomic writes.
 ///
 /// All methods take `&self`; a `Store` wrapped in an `Arc` is safe to
-/// share across the runner's worker threads and the serve daemon's
-/// connection threads.
+/// share across a session's worker threads and across sessions.
 pub struct Store {
     root: PathBuf,
     code_version: String,

@@ -6,13 +6,17 @@
 //! ```
 
 use stacksim::experiments::figure4;
-use stacksim::runner::RunConfig;
+use stacksim::runner::{RunConfig, Session};
 use stacksim::scenario::Machines;
 use stacksim_workload::Mix;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mixes: Vec<&'static Mix> = Mix::all().iter().collect();
-    let result = figure4(&Machines::builtin(), &RunConfig::default(), &mixes)?;
+    let result = figure4(
+        &Session::new(Machines::builtin()),
+        &RunConfig::default(),
+        &mixes,
+    )?;
     println!("{}", result.table());
     if let Some(gm) = result.gm_hvh {
         println!(

@@ -6,13 +6,17 @@
 //! ```
 
 use stacksim::experiments::headline;
-use stacksim::runner::RunConfig;
+use stacksim::runner::{RunConfig, Session};
 use stacksim::scenario::Machines;
 use stacksim_workload::Mix;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mixes: Vec<&'static Mix> = Mix::all().iter().collect();
-    let result = headline(&Machines::builtin(), &RunConfig::default(), &mixes)?;
+    let result = headline(
+        &Session::new(Machines::builtin()),
+        &RunConfig::default(),
+        &mixes,
+    )?;
     println!("{}", result.table());
     Ok(())
 }

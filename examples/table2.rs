@@ -7,19 +7,19 @@
 //! ```
 
 use stacksim::experiments::{table2a, table2a_table, table2b, table2b_table};
-use stacksim::runner::RunConfig;
+use stacksim::runner::{RunConfig, Session};
 use stacksim::scenario::Machines;
 use stacksim_workload::{Benchmark, Mix};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = RunConfig::default();
     let benchmarks: Vec<&'static Benchmark> = Benchmark::all().iter().collect();
-    let machines = Machines::builtin();
-    let rows = table2a(&machines, &run, &benchmarks)?;
+    let session = Session::new(Machines::builtin());
+    let rows = table2a(&session, &run, &benchmarks)?;
     println!("{}", table2a_table(&rows));
 
     let mixes: Vec<&'static Mix> = Mix::all().iter().collect();
-    let rows = table2b(&machines, &run, &mixes)?;
+    let rows = table2b(&session, &run, &mixes)?;
     println!("{}", table2b_table(&rows));
     Ok(())
 }

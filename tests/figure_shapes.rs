@@ -2,9 +2,8 @@
 //! of mixes at moderate windows: orderings and directions must match the
 //! paper even where absolute factors differ.
 
-use stacksim::configs;
 use stacksim::experiments::{figure4, figure6a, figure6b, figure7, figure9, thermal_check};
-use stacksim::runner::RunConfig;
+use stacksim::runner::{RunConfig, Session};
 use stacksim::scenario::Machines;
 use stacksim_workload::Mix;
 
@@ -17,13 +16,17 @@ fn run() -> RunConfig {
     }
 }
 
+fn session() -> Session {
+    Session::new(Machines::builtin())
+}
+
 fn hv_mixes() -> Vec<&'static Mix> {
     Mix::memory_intensive().collect()
 }
 
 #[test]
 fn figure4_progression_is_monotone_on_gm() {
-    let r = figure4(&Machines::builtin(), &run(), &hv_mixes()).unwrap();
+    let r = figure4(&session(), &run(), &hv_mixes()).unwrap();
     let gm = r.gm_hvh.expect("H/VH mixes provided");
     assert!(gm[0] > 1.0, "3D must beat 2D: {:.3}", gm[0]);
     assert!(
@@ -45,7 +48,7 @@ fn figure4_progression_is_monotone_on_gm() {
 
 #[test]
 fn figure6a_parallel_resources_beat_extra_cache() {
-    let r = figure6a(&Machines::builtin(), &run(), &hv_mixes()).unwrap();
+    let r = figure6a(&session(), &run(), &hv_mixes()).unwrap();
     let best_grid = r
         .grid
         .iter()
@@ -74,7 +77,7 @@ fn figure6a_parallel_resources_beat_extra_cache() {
 
 #[test]
 fn figure6b_second_row_buffer_entry_gives_most_of_the_benefit() {
-    let r = figure6b(&Machines::builtin(), &run(), &hv_mixes()).unwrap();
+    let r = figure6b(&session(), &run(), &hv_mixes()).unwrap();
     for &mcs in &[2u16, 4] {
         let rb1 = r.cell(mcs, 1).unwrap().speedup_hvh;
         let rb2 = r.cell(mcs, 2).unwrap().speedup_hvh;
@@ -97,7 +100,8 @@ fn figure6b_second_row_buffer_entry_gives_most_of_the_benefit() {
 #[test]
 fn figure7_mshr_scaling_helps_memory_bound_mixes() {
     let mixes = [Mix::by_name("VH1").unwrap(), Mix::by_name("VH2").unwrap()];
-    let r = figure7(&configs::cfg_quad_mc(), &run(), &mixes).unwrap();
+    let session = session();
+    let r = figure7(&session, &session.machines().quad_mc, &run(), &mixes).unwrap();
     let gm = r.gm_hvh_pct.expect("VH mixes provided");
     // Paper: capacity scaling buys tens of percent on stream mixes.
     assert!(gm[1] > 5.0, "4xMSHR gm {:.1}%", gm[1]);
@@ -114,7 +118,8 @@ fn figure7_mshr_scaling_helps_memory_bound_mixes() {
 #[test]
 fn figure9_vbf_is_practical_and_close_to_ideal() {
     let mixes = [Mix::by_name("VH2").unwrap(), Mix::by_name("H1").unwrap()];
-    let r = figure9(&configs::cfg_dual_mc(), &run(), &mixes).unwrap();
+    let session = session();
+    let r = figure9(&session, &session.machines().dual_mc, &run(), &mixes).unwrap();
     let gm = r.gm_hvh_pct.expect("H/VH mixes provided");
     let ideal = gm[0];
     let vbf = gm[1];

@@ -4,7 +4,8 @@
 
 use stacksim::configs;
 use stacksim::experiments::headline;
-use stacksim::runner::{run_mix, RunConfig};
+use stacksim::runner::{run_mix, RunConfig, Session};
+use stacksim::scenario::Machines;
 use stacksim_stats::geometric_mean;
 use stacksim_workload::Mix;
 
@@ -20,7 +21,7 @@ fn run() -> RunConfig {
 #[test]
 fn cumulative_speedup_chain_reproduces() {
     let mixes: Vec<&'static Mix> = Mix::memory_intensive().collect();
-    let h = headline(&stacksim::scenario::Machines::builtin(), &run(), &mixes).unwrap();
+    let h = headline(&Session::new(Machines::builtin()), &run(), &mixes).unwrap();
 
     // Paper: 3D-fast is 2.17x over 2D. Accept a generous band — the
     // substrate is a different core model — but demand a clear win of

@@ -6,7 +6,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use stacksim::configs::{cfg_2d, cfg_3d};
-use stacksim::runner::{self, RunConfig, RunResult, RunSource};
+use stacksim::runner::{self, RunConfig, RunResult, RunSource, Session};
+use stacksim::scenario::Machines;
 use stacksim_store::{Store, StoreKey};
 use stacksim_workload::Mix;
 
@@ -172,16 +173,14 @@ fn sequence_numbers_survive_reopen_so_eviction_order_does_too() {
     assert!(reopened.entry_path(new_key).exists());
 }
 
-/// The two-tier lookup seen from the runner: memo miss + store hit serves
-/// the persisted result without simulating, and a second call is a memo
-/// hit. This is the only test that installs a process-global store, and
-/// it uses a window no other test uses so the shared memo cannot collide.
+/// The two-tier lookup seen from a session: memo miss + store hit serves
+/// the persisted result without simulating, a second call is a memo hit,
+/// and a point the store lacks simulates once and is written through.
 #[test]
 fn runner_serves_store_hits_without_simulating() {
     let dir = scratch("runner-tiers");
     let cfg = cfg_2d();
-    let mut run = RunConfig::quick();
-    run.measure_cycles += 4096; // unique window: never memoized by other tests
+    let run = RunConfig::quick();
     let m = mix("VH2");
 
     // Populate the store out-of-band, as an earlier process would have.
@@ -192,10 +191,10 @@ fn runner_serves_store_hits_without_simulating() {
         .unwrap();
 
     let store = Arc::new(Store::open(&dir).unwrap());
-    runner::set_result_store(Some(store.clone()));
-    let (hits_before, _, sim_before) = runner::tier_stats();
+    let session = Session::new(Machines::builtin()).with_store(store.clone());
+    assert_eq!(session.tier_stats(), (0, 0, 0));
 
-    let (first, source) = runner::run_mix_cached_with_source(&cfg, m, &run).unwrap();
+    let (first, source) = session.run_mix_cached(&cfg, m, &run).unwrap();
     assert_eq!(
         source,
         RunSource::Store,
@@ -203,12 +202,24 @@ fn runner_serves_store_hits_without_simulating() {
     );
     assert_bit_identical(&simulated, &first);
 
-    let (second, source) = runner::run_mix_cached_with_source(&cfg, m, &run).unwrap();
+    let (second, source) = session.run_mix_cached(&cfg, m, &run).unwrap();
     assert_eq!(source, RunSource::Memo, "second lookup is a memo hit");
     assert!(Arc::ptr_eq(&first, &second));
+    assert_eq!(
+        session.tier_stats(),
+        (1, 0, 0),
+        "a store hit must not simulate"
+    );
+    assert_eq!(session.memo_len(), 1);
 
-    let (hits_after, _, sim_after) = runner::tier_stats();
-    assert_eq!(hits_after - hits_before, 1);
-    assert_eq!(sim_after - sim_before, 0, "a store hit must not simulate");
-    runner::set_result_store(None);
+    // A point the store lacks: one miss, one simulation, one write.
+    let (_, source) = session.run_mix_cached(&cfg, mix("M1"), &run).unwrap();
+    assert_eq!(source, RunSource::Simulated);
+    assert_eq!(session.tier_stats(), (1, 1, 1));
+    assert_eq!(session.memo_len(), 2);
+    assert_eq!(
+        store.len().unwrap(),
+        2,
+        "a fresh simulation is written through"
+    );
 }
