@@ -1,6 +1,6 @@
 //! Banked caches (the shared L2).
 
-use stacksim_stats::StatRecord;
+use stacksim_stats::MetricsSink;
 use stacksim_types::{
     InterleaveGranularity, L2BankId, LineAddr, LINE_OFFSET_BITS, PAGE_BYTES, PAGE_OFFSET_BITS,
 };
@@ -164,17 +164,21 @@ impl BankedCache {
         self.banks.iter().map(SetAssocCache::writebacks).sum()
     }
 
-    /// Aggregated statistics.
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("l2");
-        r.set("hits", self.hits() as f64);
-        r.set("misses", self.misses() as f64);
-        r.set("writebacks", self.writebacks() as f64);
+    /// Demand miss rate over all banks, `None` before the first demand
+    /// access.
+    pub fn miss_rate(&self) -> Option<f64> {
         let total = (self.hits() + self.misses()) as f64;
-        if total > 0.0 {
-            r.set("miss_rate", self.misses() as f64 / total);
+        (total > 0.0).then(|| self.misses() as f64 / total)
+    }
+
+    /// Writes the cache's counters and miss rate into its metrics node.
+    pub fn write_metrics(&self, node: &mut MetricsSink) {
+        node.counter("hits", self.hits());
+        node.counter("misses", self.misses());
+        node.counter("writebacks", self.writebacks());
+        if let Some(rate) = self.miss_rate() {
+            node.gauge("miss_rate", rate);
         }
-        r
     }
 }
 
@@ -278,7 +282,7 @@ mod tests {
         c.access(LineAddr::new(0), false);
         c.fill(LineAddr::new(0), false);
         c.access(LineAddr::new(0), false);
-        assert_eq!(c.stats().get("miss_rate"), Some(0.5));
+        assert_eq!(c.miss_rate(), Some(0.5));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! A set-associative, write-back, write-allocate cache with true LRU.
 
-use stacksim_stats::StatRecord;
 use stacksim_types::LineAddr;
 
 use crate::config::CacheConfig;
@@ -217,18 +216,15 @@ impl SetAssocCache {
         self.writebacks
     }
 
-    /// Exports statistics.
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("cache");
-        r.set("hits", self.hits as f64);
-        r.set("misses", self.misses as f64);
-        r.set("fills", self.fills as f64);
-        r.set("writebacks", self.writebacks as f64);
+    /// Lines installed by [`fill`](Self::fill), resident or not.
+    pub const fn fills(&self) -> u64 {
+        self.fills
+    }
+
+    /// Demand miss rate, `None` before the first demand access.
+    pub fn miss_rate(&self) -> Option<f64> {
         let total = (self.hits + self.misses) as f64;
-        if total > 0.0 {
-            r.set("miss_rate", self.misses as f64 / total);
-        }
-        r
+        (total > 0.0).then(|| self.misses as f64 / total)
     }
 }
 
@@ -328,8 +324,7 @@ mod tests {
         c.access(LineAddr::new(0), false);
         c.fill(LineAddr::new(0), false);
         c.access(LineAddr::new(0), false);
-        let s = c.stats();
-        assert_eq!(s.get("miss_rate"), Some(0.5));
+        assert_eq!(c.miss_rate(), Some(0.5));
     }
 
     /// Reference fill in three scans: resident way, else first invalid

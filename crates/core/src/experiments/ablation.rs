@@ -222,7 +222,7 @@ pub fn ablation_smart_refresh(
             let mut sys = System::for_mix(cfg, mix, run.seed)?;
             sys.run_cycles(run.warmup_cycles + run.measure_cycles);
             session.count_cycles(&sys);
-            let stats = sys.stats();
+            let stats = sys.metrics();
             let refreshes: f64 = (0..cfg.memory.mcs as usize)
                 .map(|i| stats.get(&format!("mc{i}.ranks.refreshes")).unwrap_or(0.0))
                 .sum();
@@ -274,7 +274,7 @@ pub fn ablation_energy(
             let mut sys = System::for_mix(&cfg, mix, run.seed)?;
             sys.run_cycles(run.warmup_cycles + run.measure_cycles);
             session.count_cycles(&sys);
-            let stats = sys.stats();
+            let stats = sys.metrics();
             let energy = sys.dram_energy(&model);
             let committed = sys.total_committed().max(1) as f64;
             let hits: f64 = (0..4)

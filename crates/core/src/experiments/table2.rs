@@ -43,10 +43,10 @@ pub fn table2a(
             vec![Box::new(SyntheticWorkload::new(benchmark, run.seed, 0))];
         let mut system = System::with_generators(&cfg, generator)?;
         system.run_cycles(run.warmup_cycles);
-        let misses0 = system.stats().get("l2.misses").unwrap_or(0.0);
+        let misses0 = system.metrics().get("l2.misses").unwrap_or(0.0);
         let committed0 = system.core_committed(0);
         system.run_cycles(run.measure_cycles);
-        let misses = system.stats().get("l2.misses").unwrap_or(0.0) - misses0;
+        let misses = system.metrics().get("l2.misses").unwrap_or(0.0) - misses0;
         let committed = (system.core_committed(0) - committed0).max(1);
         session.count_cycles(&system);
         Ok(Table2aRow {

@@ -12,7 +12,7 @@ use stacksim_mshr::{
     CamMshr, DirectMappedMshr, DynamicTuner, HierarchicalMshr, MissHandler, MissKind, MissTarget,
     MshrKind, OccupancySample, ProbeScheme, VbfMshr,
 };
-use stacksim_stats::{Histogram, MetricsSink, StatRecord};
+use stacksim_stats::{Histogram, MetricsSink};
 use stacksim_types::{
     AddressMapper, BusConfig, ClockDomain, ConfigError, CoreId, Cycle, Cycles, LineAddr,
 };
@@ -1289,41 +1289,11 @@ impl System {
         })
     }
 
-    /// Exports the machine's statistics (cores, L2, MCs, MSHR behaviour).
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("system");
-        r.set("cycles", self.now.raw() as f64);
-        r.set("ticked_cycles", self.ticked_cycles as f64);
-        r.set("skipped_cycles", self.skipped_cycles as f64);
-        r.set("committed", self.total_committed() as f64);
-        r.set("mshr_full_retries", self.mshr_full_retries as f64);
-        let (mshr_s, window_s, branch_s) = self.stall_breakdown();
-        r.set("mshr_stall_cycles", mshr_s as f64);
-        r.set("window_stall_cycles", window_s as f64);
-        r.set("branch_stall_cycles", branch_s as f64);
-        r.set("dropped_prefetches", self.dropped_prefetches as f64);
-        r.set("l2_prefetches_issued", self.l2_prefetches_issued as f64);
-        r.set("spurious_completions", self.spurious_completions as f64);
-        if let Some(p) = self.probes_per_access() {
-            r.set("mshr_probes_per_access", p);
-        }
-        let occupancy: usize = self.mshr_banks.iter().map(|b| b.occupancy()).sum();
-        r.set("mshr_occupancy", occupancy as f64);
-        r.absorb(&self.l2.stats());
-        for core in &self.cores {
-            r.absorb(&core.stats());
-        }
-        for mc in &self.mcs {
-            r.absorb(&mc.stats());
-        }
-        r
-    }
-
     /// Exports the machine's statistics as a hierarchical [`MetricsSink`]:
     /// system-level counters at the root, with one child per component
-    /// (`l2`, `core0..N`, `mc0..M`). Flattening the tree yields exactly the
-    /// same names and values as the flat [`stats`](System::stats) record,
-    /// so downstream lookups like `"mc0.ranks.refreshes"` work unchanged.
+    /// (`l2`, `core0..N`, `mc0..M`) that the component writes itself.
+    /// Sub-device metrics are dotted names local to their owner's node, so
+    /// a lookup like `"mc0.ranks.refreshes"` reads one metric of `mc0`.
     pub fn metrics(&self) -> MetricsSink {
         let mut sink = MetricsSink::new("system");
         sink.counter("cycles", self.now.raw());
@@ -1343,11 +1313,12 @@ impl System {
         }
         let occupancy: usize = self.mshr_banks.iter().map(|b| b.occupancy()).sum();
         sink.counter("mshr_occupancy", occupancy as u64);
-        for record in std::iter::once(self.l2.stats())
-            .chain(self.cores.iter().map(Core::stats))
-            .chain(self.mcs.iter().map(MemoryController::stats))
-        {
-            sink.child_mut(record.component()).absorb_record(&record);
+        self.l2.write_metrics(sink.child_mut("l2"));
+        for core in &self.cores {
+            core.write_metrics(sink.child_mut(&format!("core{}", core.id().index())));
+        }
+        for mc in &self.mcs {
+            mc.write_metrics(sink.child_mut(&format!("mc{}", mc.id().index())));
         }
         sink
     }
@@ -1435,7 +1406,7 @@ mod tests {
             .collect();
         let mut sys = System::with_generators(&cfg, gens).unwrap();
         sys.run_cycles(20_000);
-        let stats = sys.stats();
+        let stats = sys.metrics();
         assert!(sys.total_committed() > 0, "cores must make progress");
         assert!(stats.get("l2.misses").unwrap() > 0.0, "L2 must miss");
         assert!(
@@ -1478,7 +1449,7 @@ mod tests {
         let mix = Mix::by_name("VH1").unwrap();
         let mut sys = System::for_mix(&cfg, mix, 1).unwrap();
         sys.run_cycles(20_000);
-        let stats = sys.stats();
+        let stats = sys.metrics();
         for mc in 0..4 {
             assert!(
                 stats.get(&format!("mc{mc}.issued")).unwrap_or(0.0) > 0.0,
@@ -1519,7 +1490,7 @@ mod tests {
         let mix = Mix::by_name("M1").unwrap();
         let mut sys = System::for_mix(&cfg, mix, 2).unwrap();
         sys.run_cycles(5_000);
-        let stats = sys.stats();
+        let stats = sys.metrics();
         for key in [
             "cycles",
             "committed",
@@ -1532,21 +1503,32 @@ mod tests {
     }
 
     #[test]
-    fn metrics_tree_flattens_to_flat_stats() {
+    fn device_event_counts_are_typed_counters() {
+        use stacksim_stats::MetricValue;
         let cfg = configs::cfg_3d_fast();
         let mix = Mix::by_name("H1").unwrap();
         let mut sys = System::for_mix(&cfg, mix, 2).unwrap();
         sys.run_cycles(5_000);
-        let flat: Vec<(String, f64)> = sys
-            .stats()
-            .iter()
-            .map(|(n, v)| (n.to_string(), v))
-            .collect();
-        let tree = sys.metrics().flatten();
-        assert_eq!(
-            tree, flat,
-            "hierarchical export must mirror the flat record"
-        );
+        let stats = sys.metrics();
+        for path in [
+            "l2.misses",
+            "core0.dl1.hits",
+            "core0.dtlb.misses",
+            "core0.tage.mispredictions",
+            "mc0.issued",
+            "mc0.ranks.reads",
+        ] {
+            assert!(
+                matches!(stats.get_value(path), Some(MetricValue::Counter(_))),
+                "{path} must be a counter"
+            );
+        }
+        for path in ["l2.miss_rate", "mc0.row_hit_rate"] {
+            assert!(
+                matches!(stats.get_value(path), Some(MetricValue::Gauge(_))),
+                "{path} must be a gauge"
+            );
+        }
     }
 
     #[test]

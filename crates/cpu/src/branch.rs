@@ -6,8 +6,6 @@
 //! tagged hit provides the prediction, and allocation on mispredictions
 //! migrates hard branches to longer histories.
 
-use stacksim_stats::StatRecord;
-
 /// Geometry of the TAGE predictor.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TageConfig {
@@ -320,21 +318,20 @@ impl Tage {
         self.config.mispredict_penalty
     }
 
+    /// Branches predicted so far.
+    pub const fn predictions(&self) -> u64 {
+        self.predictions
+    }
+
+    /// Branches mispredicted so far.
+    pub const fn mispredictions(&self) -> u64 {
+        self.mispredictions
+    }
+
     /// Mispredictions per kilo-prediction so far.
     pub fn mpki(&self) -> Option<f64> {
         (self.predictions > 0)
             .then(|| self.mispredictions as f64 / self.predictions as f64 * 1000.0)
-    }
-
-    /// Exports statistics.
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("tage");
-        r.set("predictions", self.predictions as f64);
-        r.set("mispredictions", self.mispredictions as f64);
-        if let Some(m) = self.mpki() {
-            r.set("mispredicts_per_kilo", m);
-        }
-        r
     }
 }
 
@@ -441,9 +438,8 @@ mod tests {
     fn stats_track_rates() {
         let mut tage = Tage::new(TageConfig::penryn_4kb());
         train(&mut tage, 0x800, &[true, true, false, true]);
-        let s = tage.stats();
-        assert_eq!(s.get("predictions"), Some(4.0));
-        assert!(s.get("mispredicts_per_kilo").unwrap() > 0.0);
+        assert_eq!(tage.predictions(), 4);
+        assert!(tage.mpki().unwrap() > 0.0);
         assert_eq!(tage.penalty(), 14);
     }
 

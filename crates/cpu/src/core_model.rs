@@ -7,7 +7,7 @@ use stacksim_cache::{
     AccessOutcome, NextLinePrefetcher, Prefetcher, SetAssocCache, StridePrefetcher,
 };
 use stacksim_mshr::{CamMshr, MissHandler, MissKind, MissTarget};
-use stacksim_stats::StatRecord;
+use stacksim_stats::MetricsSink;
 use stacksim_types::{CoreId, Cycle, Cycles, LineAddr};
 use stacksim_vm::{PageAllocator, Tlb, TlbConfig, TlbOutcome, VirtAddr};
 use stacksim_workload::{Instr, InstrBlock, TraceGenerator};
@@ -657,28 +657,38 @@ impl Core {
         self.window.is_empty() && self.mshr.occupancy() == 0
     }
 
-    /// Exports per-core statistics.
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new(format!("core{}", self.id.index()));
-        r.set("committed", self.committed as f64);
-        r.set("mshr_stall_cycles", self.mshr_stall_cycles as f64);
-        r.set("window_stall_cycles", self.window_stall_cycles as f64);
-        r.set("prefetches_issued", self.prefetches_issued as f64);
-        r.set("prefetches_dropped", self.prefetches_dropped as f64);
-        r.set("spurious_fills", self.spurious_fills as f64);
-        let mut dl1 = StatRecord::new("dl1");
-        for (name, value) in self.dl1.stats().iter() {
-            dl1.set(name, value);
+    /// Writes the core's counters, and those of its DL1, DTLB and TAGE
+    /// predictor under `dl1.`, `dtlb.` and `tage.` names, into its metrics
+    /// node.
+    pub fn write_metrics(&self, node: &mut MetricsSink) {
+        node.counter("committed", self.committed);
+        node.counter("mshr_stall_cycles", self.mshr_stall_cycles);
+        node.counter("window_stall_cycles", self.window_stall_cycles);
+        node.counter("prefetches_issued", self.prefetches_issued);
+        node.counter("prefetches_dropped", self.prefetches_dropped);
+        node.counter("spurious_fills", self.spurious_fills);
+        node.counter("dl1.hits", self.dl1.hits());
+        node.counter("dl1.misses", self.dl1.misses());
+        node.counter("dl1.fills", self.dl1.fills());
+        node.counter("dl1.writebacks", self.dl1.writebacks());
+        if let Some(rate) = self.dl1.miss_rate() {
+            node.gauge("dl1.miss_rate", rate);
         }
-        r.absorb(&dl1);
-        r.set("branch_stall_cycles", self.branch_stall_cycles as f64);
+        node.counter("branch_stall_cycles", self.branch_stall_cycles);
         if let Some(vm) = &self.vm {
-            r.absorb(&vm.tlb.stats());
+            node.counter("dtlb.hits", vm.tlb.hits());
+            node.counter("dtlb.misses", vm.tlb.misses());
+            if let Some(rate) = vm.tlb.miss_rate() {
+                node.gauge("dtlb.miss_rate", rate);
+            }
         }
         if let Some(tage) = &self.tage {
-            r.absorb(&tage.stats());
+            node.counter("tage.predictions", tage.predictions());
+            node.counter("tage.mispredictions", tage.mispredictions());
+            if let Some(mpki) = tage.mpki() {
+                node.gauge("tage.mispredicts_per_kilo", mpki);
+            }
         }
-        r
     }
 }
 
@@ -786,8 +796,7 @@ mod tests {
         // Exactly 8 L1 MSHRs: never more outstanding, and requests stop.
         assert_eq!(core.outstanding_misses(), 8);
         assert_eq!(reqs.iter().filter(|r| !r.is_prefetch).count(), 8);
-        let s = core.stats();
-        assert!(s.get("mshr_stall_cycles").unwrap() > 0.0);
+        assert!(core.mshr_stall_cycles() > 0);
     }
 
     #[test]
@@ -802,7 +811,7 @@ mod tests {
             core.cycle(Cycle::new(c), &mut reqs);
         }
         assert_eq!(core.window_occupancy(), 96);
-        assert!(core.stats().get("window_stall_cycles").unwrap() > 0.0);
+        assert!(core.window_stall_cycles() > 0);
         assert_eq!(core.committed(), 0);
     }
 
@@ -919,7 +928,7 @@ mod tests {
     fn spurious_fill_is_counted_not_fatal() {
         let mut core = bare_core(vec![Instr::Compute]);
         assert!(core.fill(LineAddr::new(42)).is_none());
-        assert_eq!(core.stats().get("spurious_fills"), Some(1.0));
+        assert_eq!(core.spurious_fills, 1);
     }
 
     impl Core {

@@ -1,6 +1,5 @@
 //! One DRAM bank: a timing state machine over a row-buffer cache.
 
-use stacksim_stats::StatRecord;
 use stacksim_types::{ConfigError, Cycle, Cycles};
 
 use crate::row_buffer::{ProbeOutcome, RowBufferCache};
@@ -490,24 +489,6 @@ impl Bank {
     pub const fn busy_cycles(&self) -> u64 {
         self.busy_cycles
     }
-
-    /// Exports final statistics.
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("bank");
-        r.set("reads", self.reads as f64);
-        r.set("writes", self.writes as f64);
-        r.set("row_hits", self.row_hits as f64);
-        r.set("row_misses", self.row_misses as f64);
-        r.set("activates", self.activates as f64);
-        r.set("refreshes", self.refreshes as f64);
-        r.set("refreshes_skipped", self.refreshes_skipped as f64);
-        r.set("busy_cycles", self.busy_cycles as f64);
-        let total = (self.row_hits + self.row_misses) as f64;
-        if total > 0.0 {
-            r.set("row_hit_rate", self.row_hits as f64 / total);
-        }
-        r
-    }
 }
 
 #[cfg(test)]
@@ -708,10 +689,9 @@ mod tests {
         b.read(1, Cycle::ZERO);
         let free = b.busy_until();
         b.read(1, free);
-        let s = b.stats();
-        assert_eq!(s.get("reads"), Some(2.0));
-        assert_eq!(s.get("row_hits"), Some(1.0));
-        assert_eq!(s.get("row_hit_rate"), Some(0.5));
+        assert_eq!(b.reads(), 2);
+        assert_eq!(b.row_hits(), 1);
+        assert_eq!(b.row_misses(), 1);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! benches. Per-event energies default to DDR2-class values; they are knobs,
 //! not silicon ground truth.
 
-use stacksim_stats::StatRecord;
-
 use crate::bank::Bank;
 
 /// Per-event DRAM energy parameters, in nanojoules.
@@ -92,17 +90,6 @@ impl EnergyReport {
         self.write_nj += other.write_nj;
         self.refresh_nj += other.refresh_nj;
     }
-
-    /// Exports the breakdown as a [`StatRecord`].
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("dram_energy");
-        r.set("activate_nj", self.activate_nj);
-        r.set("read_nj", self.read_nj);
-        r.set("write_nj", self.write_nj);
-        r.set("refresh_nj", self.refresh_nj);
-        r.set("total_nj", self.total_nj());
-        r
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +138,6 @@ mod tests {
         let b = a;
         a.accumulate(&b);
         assert_eq!(a.total_nj(), 20.0);
-        assert_eq!(a.stats().get("total_nj"), Some(20.0));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! A DRAM rank: a set of banks that share command/data interfaces.
 
-use stacksim_stats::StatRecord;
 use stacksim_types::{BankId, ConfigError, Cycle};
 
 use crate::bank::{AccessResult, Bank, BankConfig};
@@ -117,24 +116,6 @@ impl Rank {
     pub fn take_refresh_log(&mut self, bank: BankId) -> Vec<(u64, Cycle)> {
         self.banks[bank.index()].take_refresh_log()
     }
-
-    /// Aggregated statistics over all banks.
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("rank");
-        let sum = |f: fn(&Bank) -> u64| self.banks.iter().map(f).sum::<u64>() as f64;
-        r.set("reads", sum(Bank::reads));
-        r.set("writes", sum(Bank::writes));
-        r.set("row_hits", sum(Bank::row_hits));
-        r.set("row_misses", sum(Bank::row_misses));
-        r.set("activates", sum(Bank::activates));
-        r.set("refreshes", sum(Bank::refreshes));
-        r.set("busy_cycles", sum(Bank::busy_cycles));
-        let total = sum(Bank::row_hits) + sum(Bank::row_misses);
-        if total > 0.0 {
-            r.set("row_hit_rate", sum(Bank::row_hits) / total);
-        }
-        r
-    }
 }
 
 #[cfg(test)]
@@ -164,9 +145,9 @@ mod tests {
         let mut r = rank();
         r.read(BankId::new(0), 1, Cycle::ZERO);
         r.read(BankId::new(5), 2, Cycle::ZERO);
-        let s = r.stats();
-        assert_eq!(s.get("reads"), Some(2.0));
-        assert_eq!(s.get("row_misses"), Some(2.0));
+        let sum = |f: fn(&Bank) -> u64| r.banks().map(f).sum::<u64>();
+        assert_eq!(sum(Bank::reads), 2);
+        assert_eq!(sum(Bank::row_misses), 2);
     }
 
     #[test]

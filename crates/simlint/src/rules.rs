@@ -126,8 +126,8 @@ impl Finding {
     }
 }
 
-/// A literal metric-name registration site (`.counter("…")`, `.gauge`,
-/// `.histogram`, or `StatRecord::set`), collected for rule M.
+/// A literal metric-name registration site (`.counter("…")`, `.gauge` or
+/// `.histogram`), collected for rule M.
 #[derive(Clone, Debug)]
 pub struct Registration {
     /// File the registration appears in.
@@ -139,8 +139,9 @@ pub struct Registration {
 }
 
 /// The leaf segment of a dotted metric path (`ranks.refreshes` →
-/// `refreshes`). Metric trees prefix parent components at absorb time, so
-/// leaves are the unit both sides of the doc cross-check agree on.
+/// `refreshes`). Docs name metrics both with and without their owning
+/// node's prefix, so leaves are the unit both sides of the doc cross-check
+/// agree on.
 pub fn leaf(name: &str) -> &str {
     name.rsplit('.').next().unwrap_or(name)
 }
@@ -578,11 +579,10 @@ fn rule_n_narrowing(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Finding
 }
 
 /// Collects literal metric names registered via `.counter("…")`,
-/// `.gauge("…")`, `.histogram("…")` or `.set("…")` in non-test code.
+/// `.gauge("…")` or `.histogram("…")` in non-test code.
 fn collect_registrations(file: &SourceFile, toks: &[&Tok], regs: &mut Vec<Registration>) {
     for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident
-            || !matches!(t.text.as_str(), "counter" | "gauge" | "histogram" | "set")
+        if t.kind != TokKind::Ident || !matches!(t.text.as_str(), "counter" | "gauge" | "histogram")
         {
             continue;
         }
@@ -706,7 +706,7 @@ fn visit() {
     fn registrations_are_collected_with_dotted_names() {
         let f = SourceFile::parse(
             "crates/dram/src/x.rs",
-            "fn s(&self) { r.set(\"ranks.refreshes\", 1.0); sink.counter(\"cycles\", 2); }\n",
+            "fn s(&self) { r.counter(\"ranks.refreshes\", 1); sink.counter(\"cycles\", 2); }\n",
         );
         let mut regs = Vec::new();
         check_file(&f, true, &mut regs);

@@ -10,10 +10,8 @@
 //! * [`geometric_mean`] / [`harmonic_mean`] — the paper's two summary means
 //!   (GM for speedups, HMIPC for multi-programmed throughput);
 //! * [`Table`] — fixed-width text table rendering for experiment output;
-//! * [`StatRecord`] — a named bag of final statistic values exported by each
-//!   simulated component;
 //! * [`MetricsSink`] — a hierarchical, typed metrics tree (component →
-//!   counters/gauges/histograms) with JSON/CSV export and baseline diffing;
+//!   counters/gauges/histograms) with JSON export and baseline diffing;
 //! * [`Json`] — a minimal dependency-free JSON value, writer, and parser.
 //!
 //! # Examples
@@ -35,7 +33,6 @@ mod histogram;
 mod json;
 mod means;
 mod metrics;
-mod record;
 mod running;
 mod table;
 
@@ -44,6 +41,5 @@ pub use histogram::Histogram;
 pub use json::{Json, JsonError};
 pub use means::{geometric_mean, harmonic_mean, MeanError};
 pub use metrics::{HistSummary, MetricDiff, MetricValue, MetricsSink};
-pub use record::StatRecord;
 pub use running::RunningStats;
 pub use table::{Align, Table};

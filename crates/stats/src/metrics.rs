@@ -6,10 +6,10 @@
 //! Insertion order of both metrics and children is preserved so exports
 //! read in the same stable order as the human-facing tables.
 //!
-//! Sinks serialize to JSON ([`MetricsSink::to_json`]) and to flat CSV
-//! ([`MetricsSink::to_csv`]), round-trip back from both, and can be diffed
-//! against a baseline with a relative tolerance ([`MetricsSink::diff`]) —
-//! the machinery behind `reproduce --out` / `reproduce --baseline`.
+//! Sinks serialize to JSON ([`MetricsSink::to_json`]), round-trip back
+//! from it, and can be diffed against a baseline with a relative tolerance
+//! ([`MetricsSink::diff`]) — the machinery behind `reproduce --out` /
+//! `reproduce --baseline`.
 //!
 //! # Examples
 //!
@@ -32,7 +32,7 @@
 use core::fmt;
 
 use crate::json::Json;
-use crate::{Histogram, StatRecord};
+use crate::Histogram;
 
 /// A five-number summary of a [`Histogram`], small enough to export per run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -83,24 +83,13 @@ impl MetricValue {
             MetricValue::Histogram(h) => h.mean,
         }
     }
-
-    /// Short type tag used in CSV exports: `counter`, `gauge`, or `hist`.
-    pub const fn kind(&self) -> &'static str {
-        match self {
-            MetricValue::Counter(_) => "counter",
-            MetricValue::Gauge(_) => "gauge",
-            MetricValue::Histogram(_) => "hist",
-        }
-    }
 }
 
 /// A hierarchical sink of named metrics: one node per simulated component,
 /// with ordered metrics and ordered child components.
 ///
-/// `MetricsSink` replaces the flat [`StatRecord`] at run boundaries
-/// (devices still report `StatRecord`s, absorbed via
-/// [`MetricsSink::absorb_record`]); `docs/METRICS.md` documents the full
-/// schema.
+/// Each device that owns a node writes its own metrics into it;
+/// `docs/METRICS.md` documents the full schema.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct MetricsSink {
     name: String,
@@ -197,15 +186,6 @@ impl MetricsSink {
         self.metrics.iter().map(|(n, v)| (n.as_str(), v))
     }
 
-    /// Copies a flat [`StatRecord`]'s entries into this node as gauges,
-    /// preserving order. Entry names keep any internal dots they already
-    /// have (e.g. `ranks.refreshes`).
-    pub fn absorb_record(&mut self, record: &StatRecord) {
-        for (name, value) in record.iter() {
-            self.gauge(name, value);
-        }
-    }
-
     /// Looks up a metric by dotted path relative to this node, e.g.
     /// `"l2.miss_rate"` or `"mc0.ranks.refreshes"`.
     ///
@@ -227,9 +207,9 @@ impl MetricsSink {
     }
 
     /// Flattens the tree to `(dotted_path, scalar)` pairs in depth-first
-    /// order. The root's own name is *not* prefixed, so paths line up with
-    /// the flat [`StatRecord`] names the text reports use (`"l2.misses"`,
-    /// not `"system.l2.misses"`).
+    /// order. The root's own name is *not* prefixed, so paths read as
+    /// [`MetricsSink::get`] takes them (`"l2.misses"`, not
+    /// `"system.l2.misses"`).
     pub fn flatten(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         self.flatten_into("", &mut out);
@@ -340,70 +320,6 @@ impl MetricsSink {
         Ok(sink)
     }
 
-    /// Serializes the tree to CSV with header `path,type,value` — one row
-    /// per metric, paths as in [`MetricsSink::flatten`], values as the
-    /// scalar view. Suitable for spreadsheets and `join`-style diffing.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stacksim_stats::MetricsSink;
-    ///
-    /// let mut s = MetricsSink::new("system");
-    /// s.child_mut("l2").counter("hits", 90);
-    /// assert_eq!(s.to_csv(), "path,type,value\nl2.hits,counter,90\n");
-    /// ```
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("path,type,value\n");
-        self.csv_rows("", &mut out);
-        out
-    }
-
-    fn csv_rows(&self, prefix: &str, out: &mut String) {
-        use fmt::Write;
-        for (name, value) in &self.metrics {
-            let path = format!("{prefix}{name}");
-            writeln!(
-                out,
-                "{},{},{}",
-                csv_field(&path),
-                value.kind(),
-                value.as_f64()
-            )
-            .expect("string write");
-        }
-        for child in &self.children {
-            child.csv_rows(&format!("{prefix}{}.", child.name), out);
-        }
-    }
-
-    /// Parses [`MetricsSink::to_csv`] output back into flat
-    /// `(path, type, value)` rows (the tree shape is not recoverable from
-    /// CSV; use JSON for lossless round-trips).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed line.
-    pub fn parse_csv(text: &str) -> Result<Vec<(String, String, f64)>, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some("path,type,value") => {}
-            other => return Err(format!("bad CSV header {other:?}")),
-        }
-        let mut rows = Vec::new();
-        for (i, line) in lines.enumerate() {
-            let fields = split_csv_line(line);
-            let [path, kind, value] = fields.as_slice() else {
-                return Err(format!("CSV line {}: expected 3 fields", i + 2));
-            };
-            let value: f64 = value
-                .parse()
-                .map_err(|_| format!("CSV line {}: bad value '{value}'", i + 2))?;
-            rows.push((path.clone(), kind.clone(), value));
-        }
-        Ok(rows)
-    }
-
     /// Compares this sink against a `baseline`, returning every metric whose
     /// scalar value differs by more than `rel_tol` (relative to the larger
     /// magnitude; exact-zero pairs always match), plus metrics present on
@@ -465,39 +381,6 @@ fn within_tol(a: f64, b: f64, rel_tol: f64) -> bool {
         return true; // both undefined (e.g. rate with zero denominator)
     }
     (a - b).abs() <= rel_tol * a.abs().max(b.abs())
-}
-
-/// Quotes a CSV field only when it needs it (commas, quotes, newlines).
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-fn split_csv_line(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut quoted = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if quoted => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cur.push('"');
-                } else {
-                    quoted = false;
-                }
-            }
-            '"' if cur.is_empty() => quoted = true,
-            ',' if !quoted => fields.push(std::mem::take(&mut cur)),
-            c => cur.push(c),
-        }
-    }
-    fields.push(cur);
-    fields
 }
 
 #[cfg(test)]
@@ -570,36 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip() {
-        let s = sample();
-        let rows = MetricsSink::parse_csv(&s.to_csv()).unwrap();
-        assert_eq!(rows.len(), s.len());
-        assert_eq!(rows[0], ("cycles".into(), "counter".into(), 60_000.0));
-        assert_eq!(
-            rows.last().unwrap(),
-            &("mc0.ranks.refreshes".into(), "gauge".into(), 12.5)
-        );
-    }
-
-    #[test]
-    fn csv_quoting() {
-        assert_eq!(csv_field("plain"), "plain");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(split_csv_line("\"a,b\",c"), ["a,b", "c"]);
-        assert_eq!(
-            split_csv_line("\"he said \"\"hi\"\"\",2"),
-            ["he said \"hi\"", "2"]
-        );
-    }
-
-    #[test]
-    fn csv_rejects_malformed() {
-        assert!(MetricsSink::parse_csv("wrong,header\n").is_err());
-        assert!(MetricsSink::parse_csv("path,type,value\na,b\n").is_err());
-        assert!(MetricsSink::parse_csv("path,type,value\na,gauge,xyz\n").is_err());
-    }
-
-    #[test]
     fn diff_flags_changes_and_missing() {
         let base = sample();
         let mut run = sample();
@@ -629,17 +482,6 @@ mod tests {
         let mut c = MetricsSink::new("s");
         c.gauge("v", f64::NAN);
         assert!(c.diff(&c.clone(), 0.0).is_empty());
-    }
-
-    #[test]
-    fn absorb_record_preserves_order() {
-        let mut rec = StatRecord::new("mc0");
-        rec.set("issued", 10.0);
-        rec.set("ranks.refreshes", 2.0);
-        let mut sink = MetricsSink::new("system");
-        sink.child_mut("mc0").absorb_record(&rec);
-        assert_eq!(sink.get("mc0.issued"), Some(10.0));
-        assert_eq!(sink.get("mc0.ranks.refreshes"), Some(2.0));
     }
 
     #[test]

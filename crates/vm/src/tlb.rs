@@ -1,6 +1,5 @@
 //! Set-associative TLB models (Table 1: 64-entry, 4-way DTLB).
 
-use stacksim_stats::StatRecord;
 use stacksim_types::Cycles;
 
 /// TLB geometry and miss cost.
@@ -160,16 +159,10 @@ impl Tlb {
         self.misses
     }
 
-    /// Exports statistics.
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("dtlb");
-        r.set("hits", self.hits as f64);
-        r.set("misses", self.misses as f64);
+    /// Miss rate, `None` before the first access.
+    pub fn miss_rate(&self) -> Option<f64> {
         let total = (self.hits + self.misses) as f64;
-        if total > 0.0 {
-            r.set("miss_rate", self.misses as f64 / total);
-        }
-        r
+        (total > 0.0).then(|| self.misses as f64 / total)
     }
 }
 
@@ -236,7 +229,7 @@ mod tests {
         let mut t = tiny();
         t.access(1);
         t.access(1);
-        assert_eq!(t.stats().get("miss_rate"), Some(0.5));
+        assert_eq!(t.miss_rate(), Some(0.5));
     }
 
     #[test]

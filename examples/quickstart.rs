@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Peek at the machine directly for per-component statistics.
     let mut system = System::for_mix(&configs::cfg_quad_mc(), mix, run.seed)?;
     system.run_cycles(50_000);
-    let stats = system.stats();
+    let stats = system.metrics();
     println!("Selected machine statistics after 50k cycles:");
     for key in [
         "committed",

@@ -48,7 +48,7 @@ proptest! {
         let mix = Mix::by_name("HM1").unwrap();
         let mut sys = System::for_mix(&cfg, mix, seed).unwrap();
         sys.run_cycles(6_000);
-        let stats = sys.stats();
+        let stats = sys.metrics();
         prop_assert!(sys.total_committed() > 0, "no forward progress");
         prop_assert_eq!(stats.get("spurious_completions"), Some(0.0));
         // Probe statistic is sane for every MSHR organization.

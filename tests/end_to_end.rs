@@ -58,7 +58,7 @@ fn no_spurious_completions_anywhere() {
         let mix = Mix::by_name("H1").unwrap();
         let mut sys = System::for_mix(&cfg, mix, 9).unwrap();
         sys.run_cycles(25_000);
-        let stats = sys.stats();
+        let stats = sys.metrics();
         assert_eq!(
             stats.get("spurious_completions"),
             Some(0.0),
@@ -82,7 +82,7 @@ fn request_conservation_under_stream_load() {
     let mix = Mix::by_name("VH1").unwrap();
     let mut sys = System::for_mix(&cfg, mix, 5).unwrap();
     sys.run_cycles(60_000);
-    let stats = sys.stats();
+    let stats = sys.metrics();
     let issued: f64 = (0..4)
         .map(|i| stats.get(&format!("mc{i}.issued")).unwrap_or(0.0))
         .sum();
@@ -134,7 +134,7 @@ fn different_seeds_change_timing_but_not_validity() {
     for seed in [1u64, 2, 3] {
         let mut sys = System::for_mix(&cfg, mix, seed).unwrap();
         sys.run_cycles(20_000);
-        assert_eq!(sys.stats().get("spurious_completions"), Some(0.0));
+        assert_eq!(sys.metrics().get("spurious_completions"), Some(0.0));
         totals.push(sys.total_committed());
     }
     assert!(
