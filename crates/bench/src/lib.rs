@@ -15,7 +15,6 @@
 pub mod obs;
 
 use stacksim::runner::RunConfig;
-use stacksim_workload::Mix;
 
 /// The window used by Criterion benches: long enough to be past warmup
 /// transients, short enough for iterated measurement.
@@ -38,28 +37,9 @@ pub fn full_run() -> RunConfig {
     }
 }
 
-/// A small representative mix subset for iterated benches: one of each
-/// class.
-pub fn bench_mixes() -> Vec<&'static Mix> {
-    ["VH2", "H1", "HM2", "M1"]
-        .iter()
-        .map(|n| Mix::by_name(n).expect("known mix"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_mixes_cover_all_classes() {
-        use stacksim_workload::MixClass;
-        let classes: Vec<MixClass> = bench_mixes().iter().map(|m| m.class).collect();
-        assert!(classes.contains(&MixClass::VeryHigh));
-        assert!(classes.contains(&MixClass::High));
-        assert!(classes.contains(&MixClass::HighModerate));
-        assert!(classes.contains(&MixClass::Moderate));
-    }
 
     #[test]
     fn windows_are_ordered() {

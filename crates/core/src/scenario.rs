@@ -176,7 +176,7 @@ impl fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 /// A stable content hash of a machine configuration — the memoization key
-/// the runner and the (future) durable result store share.
+/// the runner and the durable result store share.
 ///
 /// The digest is FNV-1a/64 over the machine's full configuration identity:
 /// exactly the fields [`SystemConfig`]'s `Eq` compares, nothing else. Two
@@ -219,12 +219,25 @@ impl fmt::Display for ScenarioHash {
 }
 
 /// FNV-1a/64 as a [`Hasher`], so `ScenarioHash` is independent of the
-/// standard library's (explicitly unstable) default hasher.
-struct Fnv1a(u64);
+/// standard library's (explicitly unstable) default hasher. The result
+/// store's keys and payload checksums use the same hasher.
+///
+/// Only [`Hasher::write`] is stable across platforms: the integer
+/// `write_*` methods feed native-endian bytes, so callers that need a
+/// portable digest write `to_le_bytes()` themselves.
+#[derive(Debug)]
+pub struct Fnv1a(u64);
 
 impl Fnv1a {
-    const fn new() -> Fnv1a {
+    /// A hasher at the FNV-1a/64 offset basis.
+    pub const fn new() -> Fnv1a {
         Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
     }
 }
 
@@ -1085,6 +1098,20 @@ mod tests {
         Scenario::from_str(&format!(
             r#"{{"schema": "stacksim-scenario/1", "name": "t", "machine": {machine}}}"#
         ))
+    }
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        // Published FNV-1a/64 test vectors.
+        for (input, want) in [
+            (&b""[..], 0xcbf2_9ce4_8422_2325),
+            (b"a", 0xaf63_dc4c_8601_ec8c),
+            (b"foobar", 0x8594_4171_f739_67e8),
+        ] {
+            let mut h = Fnv1a::new();
+            h.write(input);
+            assert_eq!(h.finish(), want);
+        }
     }
 
     #[test]

@@ -2,19 +2,22 @@
 //! two-tier lookup.
 //!
 //! A [`Store`] is a directory of self-describing JSON envelopes
-//! (`stacksim-store/1`), one per simulated `(machine, mix, window)`
+//! (`stacksim-store/2`), one per simulated `(machine, mix, window)`
 //! point, keyed by an FNV-1a/64 content hash of the machine's
 //! [`ScenarioHash`], the mix name, the run window and a code-version
 //! stamp ([`stacksim::CODE_VERSION`]). Attached to a session with
 //! [`stacksim::runner::Session::with_store`], it turns every re-run of an
-//! already-simulated point — in *any* later process — into a file read.
+//! already-simulated point — in *any* later process — into one file read
+//! and one parse. Opening a store reads no entry.
 //!
 //! The trust story is layered:
 //!
 //! * **Atomic writes** — an envelope is written to a temp file and
 //!   `rename`d into place, so readers never observe a torn entry.
-//! * **Per-entry checksums** — the payload carries an FNV-1a/64 checksum;
-//!   any entry that fails to parse, fails its checksum, or carries a
+//! * **Per-entry checksums** — the payload carries an FNV-1a/64 checksum
+//!   over a canonical walk of its parsed JSON tree, so a load verifies the
+//!   tree it is about to decode without re-serializing it; any entry that
+//!   fails to parse, fails its checksum, or carries a
 //!   stale schema or mismatched identity is **quarantined** (moved to
 //!   `quarantine/`) and reported as a miss, never served.
 //! * **Code-version keys** — results from a build whose simulated
@@ -51,19 +54,21 @@
 
 use core::fmt;
 use std::fs;
+use std::hash::Hasher;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use stacksim::runner::{ResultStore, RunConfig, RunResult};
-use stacksim::scenario::ScenarioHash;
+use stacksim::scenario::{Fnv1a, ScenarioHash};
 use stacksim::SystemConfig;
 use stacksim_stats::{Json, MetricsSink};
 
 /// Schema marker written into (and required of) every envelope. Entries
-/// carrying any other marker — including earlier majors like
-/// `stacksim-store/0` — are quarantined on load.
-pub const ENVELOPE_SCHEMA: &str = "stacksim-store/1";
+/// carrying any other marker — including the previous major,
+/// `stacksim-store/1`, whose checksum covered the compact serialization
+/// — are quarantined on load.
+pub const ENVELOPE_SCHEMA: &str = "stacksim-store/2";
 
 /// The content-addressed key of one stored result: FNV-1a/64 over the
 /// scenario hash, the mix name, the run window (warmup, measure, seed,
@@ -90,7 +95,9 @@ impl StoreKey {
             run.fast_forward,
             code_version,
         );
-        StoreKey(fnv1a_64(identity.as_bytes()))
+        let mut h = Fnv1a::new();
+        h.write(identity.as_bytes());
+        StoreKey(h.finish())
     }
 
     /// The raw 64-bit digest.
@@ -105,15 +112,55 @@ impl fmt::Display for StoreKey {
     }
 }
 
-/// FNV-1a/64 over a byte string — the same construction `ScenarioHash`
-/// uses, reimplemented here over raw bytes for key and checksum digests.
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// The payload checksum: FNV-1a/64 over a canonical walk of a JSON tree.
+///
+/// Each value starts with a one-byte type tag. Numbers are their IEEE-754
+/// bits, little-endian; strings, keys, arrays and objects are their length
+/// (`u64`, little-endian) followed by their bytes or members in order.
+/// Numbers fold exactly as [`Json::pretty`] renders them — −0.0 as +0.0,
+/// NaN and ±inf as `null` — so an in-memory payload and the tree parsed
+/// back from its envelope hash alike.
+fn checksum(payload: &Json) -> u64 {
+    let mut h = Fnv1a::new();
+    hash_json(&mut h, payload);
+    h.finish()
+}
+
+fn hash_json(h: &mut Fnv1a, value: &Json) {
+    match value {
+        Json::Null => h.write(&[0]),
+        Json::Num(n) if !n.is_finite() => h.write(&[0]),
+        Json::Bool(b) => h.write(&[1, u8::from(*b)]),
+        Json::Num(n) => {
+            let n = if *n == 0.0 { 0.0 } else { *n };
+            h.write(&[2]);
+            h.write(&n.to_bits().to_le_bytes());
+        }
+        Json::Str(s) => {
+            h.write(&[3]);
+            hash_str(h, s);
+        }
+        Json::Arr(items) => {
+            h.write(&[4]);
+            h.write(&(items.len() as u64).to_le_bytes());
+            for item in items {
+                hash_json(h, item);
+            }
+        }
+        Json::Obj(members) => {
+            h.write(&[5]);
+            h.write(&(members.len() as u64).to_le_bytes());
+            for (k, v) in members {
+                hash_str(h, k);
+                hash_json(h, v);
+            }
+        }
     }
-    h
+}
+
+fn hash_str(h: &mut Fnv1a, s: &str) {
+    h.write(&(s.len() as u64).to_le_bytes());
+    h.write(s.as_bytes());
 }
 
 /// A filesystem failure while opening or writing the store. Read-side
@@ -181,8 +228,6 @@ pub struct StoreStats {
     pub writes: u64,
     /// Entries quarantined after failing validation.
     pub quarantined: u64,
-    /// Entries evicted to respect the capacity bound.
-    pub evicted: u64,
 }
 
 /// A durable on-disk result store: `entries/` holds the live envelopes,
@@ -194,23 +239,22 @@ pub struct StoreStats {
 pub struct Store {
     root: PathBuf,
     code_version: String,
-    max_entries: Option<usize>,
-    next_seq: AtomicU64,
+    /// Per-handle counter that, with the process id, names staging files.
+    staged: AtomicU64,
     load_hits: AtomicU64,
     load_misses: AtomicU64,
     writes: AtomicU64,
     quarantined: AtomicU64,
-    evicted: AtomicU64,
 }
 
 impl Store {
     /// Opens (creating if absent) a store rooted at `root`, stamped with
-    /// the running build's [`stacksim::CODE_VERSION`].
+    /// the running build's [`stacksim::CODE_VERSION`]. Opening creates the
+    /// directory layout and reads no entry.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] if the directory layout cannot be created
-    /// or listed.
+    /// Returns [`StoreError`] if the directory layout cannot be created.
     pub fn open(root: impl Into<PathBuf>) -> Result<Store, StoreError> {
         let root = root.into();
         for sub in ["entries", "quarantine", "tmp"] {
@@ -220,25 +264,15 @@ impl Store {
                 source: e,
             })?;
         }
-        let store = Store {
+        Ok(Store {
             root,
             code_version: stacksim::CODE_VERSION.to_string(),
-            max_entries: None,
-            next_seq: AtomicU64::new(1),
+            staged: AtomicU64::new(0),
             load_hits: AtomicU64::new(0),
             load_misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-        };
-        let max_seq = store
-            .list_entries()?
-            .into_iter()
-            .map(|(seq, _)| seq)
-            .max()
-            .unwrap_or(0);
-        store.next_seq.store(max_seq + 1, Ordering::Relaxed);
-        Ok(store)
+        })
     }
 
     /// This store keyed under a different code-version stamp. Results
@@ -247,14 +281,6 @@ impl Store {
     /// builds whose simulated numbers changed.
     pub fn with_code_version(mut self, code_version: impl Into<String>) -> Store {
         self.code_version = code_version.into();
-        self
-    }
-
-    /// This store bounded to at most `max_entries` live envelopes. Each
-    /// save past the bound evicts the oldest entries (lowest write
-    /// sequence) first. `None` (the default) means unbounded.
-    pub fn with_max_entries(mut self, max_entries: Option<usize>) -> Store {
-        self.max_entries = max_entries;
         self
     }
 
@@ -286,13 +312,13 @@ impl Store {
         self.root.join("quarantine")
     }
 
-    /// Number of live envelopes on disk.
+    /// Number of live envelopes on disk (counted, not read).
     ///
     /// # Errors
     ///
     /// Returns [`StoreError`] if the entries directory cannot be listed.
     pub fn len(&self) -> Result<usize, StoreError> {
-        Ok(self.list_entries()?.len())
+        count_json(&self.root.join("entries"))
     }
 
     /// Whether the store holds no live envelopes.
@@ -310,18 +336,7 @@ impl Store {
     ///
     /// Returns [`StoreError`] if the quarantine directory cannot be listed.
     pub fn quarantined_len(&self) -> Result<usize, StoreError> {
-        let dir = self.quarantine_dir();
-        let mut n = 0;
-        let iter = fs::read_dir(&dir).map_err(|e| StoreError {
-            path: dir.clone(),
-            source: e,
-        })?;
-        for entry in iter.flatten() {
-            if entry.path().extension().is_some_and(|e| e == "json") {
-                n += 1;
-            }
-        }
-        Ok(n)
+        count_json(&self.quarantine_dir())
     }
 
     /// This handle's cumulative counters.
@@ -331,7 +346,6 @@ impl Store {
             load_misses: self.load_misses.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
         }
     }
 
@@ -375,14 +389,14 @@ impl Store {
             self.quarantine(key, QuarantineReason::Schema);
             return None;
         }
-        let (Some(payload), Some(checksum)) = (
+        let (Some(payload), Some(stored)) = (
             envelope.get("payload"),
             envelope.get("checksum").and_then(Json::as_str),
         ) else {
             self.quarantine(key, QuarantineReason::Schema);
             return None;
         };
-        if format!("{:016x}", fnv1a_64(payload.to_string().as_bytes())) != checksum {
+        if format!("{:016x}", checksum(payload)) != stored {
             self.quarantine(key, QuarantineReason::Checksum);
             return None;
         }
@@ -404,13 +418,11 @@ impl Store {
     }
 
     /// Persists a result: envelope serialized with its checksum, written
-    /// to a staging file and atomically renamed into `entries/`, then the
-    /// capacity bound (if any) enforced oldest-first.
+    /// to a staging file and atomically renamed into `entries/`.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] if the envelope cannot be written. Eviction
-    /// failures are swallowed (the store is over budget, not wrong).
+    /// Returns [`StoreError`] if the envelope cannot be written.
     pub fn save_result(
         &self,
         cfg: &SystemConfig,
@@ -419,9 +431,8 @@ impl Store {
         result: &RunResult,
     ) -> Result<StoreKey, StoreError> {
         let key = self.key_for(cfg, mix, run);
-        let sequence = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let payload = encode_payload(result);
-        let checksum = format!("{:016x}", fnv1a_64(payload.to_string().as_bytes()));
+        let checksum = format!("{:016x}", checksum(&payload));
         let envelope = Json::Obj(vec![
             ("schema".into(), Json::Str(ENVELOPE_SCHEMA.into())),
             ("key".into(), Json::Str(key.to_string())),
@@ -443,17 +454,17 @@ impl Store {
                 ]),
             ),
             ("code_version".into(), Json::Str(self.code_version.clone())),
-            ("sequence".into(), Json::Num(sequence as f64)),
             ("checksum".into(), Json::Str(checksum)),
             ("payload".into(), payload),
         ]);
         // Atomic publish: stage under tmp/, rename into entries/. A crash
         // between the two leaves a stale staging file and no entry; a
         // crash mid-write never produces a half-visible envelope.
-        let staging =
-            self.root
-                .join("tmp")
-                .join(format!("{key}.{}.{}.tmp", std::process::id(), sequence));
+        let staged = self.staged.fetch_add(1, Ordering::Relaxed);
+        let staging = self
+            .root
+            .join("tmp")
+            .join(format!("{key}.{}.{staged}.tmp", std::process::id()));
         fs::write(&staging, envelope.pretty()).map_err(|e| StoreError {
             path: staging.clone(),
             source: e,
@@ -464,7 +475,6 @@ impl Store {
             source: e,
         })?;
         self.writes.fetch_add(1, Ordering::Relaxed);
-        self.enforce_capacity();
         Ok(key)
     }
 
@@ -483,49 +493,6 @@ impl Store {
             );
         }
     }
-
-    /// Live entries as `(sequence, path)` pairs. Entries whose sequence
-    /// cannot be read sort first (sequence 0), so they are also the first
-    /// evicted.
-    fn list_entries(&self) -> Result<Vec<(u64, PathBuf)>, StoreError> {
-        let dir = self.root.join("entries");
-        let iter = fs::read_dir(&dir).map_err(|e| StoreError {
-            path: dir.clone(),
-            source: e,
-        })?;
-        let mut entries = Vec::new();
-        for entry in iter.flatten() {
-            let path = entry.path();
-            if path.extension().is_none_or(|e| e != "json") {
-                continue;
-            }
-            let seq = fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| Json::parse(&text).ok())
-                .and_then(|v| v.get("sequence").and_then(Json::as_f64))
-                .map_or(0, |n| n as u64);
-            entries.push((seq, path));
-        }
-        entries.sort();
-        Ok(entries)
-    }
-
-    /// Deletes oldest-first until the live entry count fits the bound.
-    fn enforce_capacity(&self) {
-        let Some(max) = self.max_entries else { return };
-        let Ok(entries) = self.list_entries() else {
-            return;
-        };
-        if entries.len() <= max {
-            return;
-        }
-        let excess = entries.len() - max;
-        for (_, path) in entries.into_iter().take(excess) {
-            if fs::remove_file(&path).is_ok() {
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
 }
 
 impl fmt::Debug for Store {
@@ -533,9 +500,20 @@ impl fmt::Debug for Store {
         f.debug_struct("Store")
             .field("root", &self.root)
             .field("code_version", &self.code_version)
-            .field("max_entries", &self.max_entries)
             .finish_non_exhaustive()
     }
+}
+
+/// Number of `*.json` files in `dir`.
+fn count_json(dir: &Path) -> Result<usize, StoreError> {
+    let iter = fs::read_dir(dir).map_err(|e| StoreError {
+        path: dir.to_path_buf(),
+        source: e,
+    })?;
+    Ok(iter
+        .flatten()
+        .filter(|entry| entry.path().extension().is_some_and(|e| e == "json"))
+        .count())
 }
 
 /// The runner-facing adapter: loads quarantine-and-miss on corruption,
@@ -629,21 +607,100 @@ mod tests {
         let cfg = stacksim::configs::cfg_2d();
         let run = RunConfig::quick();
         let a = StoreKey::derive(&cfg, "VH1", &run, "v1");
-        assert_eq!(a, StoreKey::derive(&cfg, "VH1", &run, "v1"));
+        // Pinned: a changed identity string or hasher re-keys every store.
+        assert_eq!(a.to_string(), "0ce994e5033a4b8d");
         assert_ne!(a, StoreKey::derive(&cfg, "VH2", &run, "v1"));
         assert_ne!(a, StoreKey::derive(&cfg, "VH1", &run, "v2"));
         assert_ne!(
             a,
             StoreKey::derive(&stacksim::configs::cfg_3d(), "VH1", &run, "v1")
         );
-        assert_eq!(format!("{a}").len(), 16);
+    }
+
+    /// Deterministic generator state (an LCG: the crate has no RNG
+    /// dependency).
+    fn lcg(x: &mut u64) -> u64 {
+        *x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *x >> 33
+    }
+
+    /// Numbers the printer renders specially or near its integer cutoff.
+    const EDGE_NUMBERS: [f64; 9] = [
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        8_999_999_999_999_999.0,
+        9.0e15,
+        9_000_000_000_000_001.0,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+    ];
+
+    fn gen_value(x: &mut u64, depth: usize) -> Json {
+        const KEYS: [&str; 4] = ["hits", "é", "中文", "\u{1F600}"];
+        match lcg(x) % if depth == 0 { 4 } else { 6 } {
+            0 => Json::Null,
+            1 => Json::Bool(lcg(x).is_multiple_of(2)),
+            2 => Json::Num(match lcg(x) % 3 {
+                0 => EDGE_NUMBERS[lcg(x) as usize % EDGE_NUMBERS.len()],
+                1 => (lcg(x) % 1_000_000) as f64 / (lcg(x) % 997 + 1) as f64,
+                _ => -((lcg(x) % 1_000) as f64),
+            }),
+            3 => Json::Str(KEYS[lcg(x) as usize % KEYS.len()].repeat(lcg(x) as usize % 3)),
+            4 => Json::Arr((0..lcg(x) % 4).map(|_| gen_value(x, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..lcg(x) % 4)
+                    .map(|i| {
+                        let key = format!("{}{i}", KEYS[lcg(x) as usize % KEYS.len()]);
+                        (key, gen_value(x, depth - 1))
+                    })
+                    .collect(),
+            ),
+        }
     }
 
     #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a/64 test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+    fn checksum_survives_the_pretty_round_trip() {
+        let (mut negative_zero, mut non_finite) = (false, false);
+        for seed in 0..300u64 {
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+            let v = Json::Obj(vec![("v".into(), gen_value(&mut x, 4))]);
+            let shape = format!("{v:?}");
+            negative_zero |= shape.contains("Num(-0.0)");
+            non_finite |= shape.contains("Num(NaN)") || shape.contains("inf)");
+            let text = v.pretty();
+            let parsed = Json::parse(&text).unwrap();
+            assert_eq!(
+                checksum(&v),
+                checksum(&parsed),
+                "seed {seed} changed its checksum through {text:?}"
+            );
+        }
+        assert!(negative_zero && non_finite, "generator missed a fold");
+    }
+
+    #[test]
+    fn checksum_sees_structure_not_just_content() {
+        let s = |t: &str| Json::Str(t.into());
+        let distinct = [
+            Json::Null,
+            Json::Bool(false),
+            Json::Num(0.0),
+            Json::Num(1.0),
+            s(""),
+            s("ab"),
+            Json::Arr(vec![s("a"), s("b")]),
+            Json::Arr(vec![s("ab")]),
+            Json::Obj(vec![("a".into(), s("b"))]),
+            Json::Obj(vec![("ab".into(), Json::Null)]),
+        ];
+        for (i, a) in distinct.iter().enumerate() {
+            for b in &distinct[i + 1..] {
+                assert_ne!(checksum(a), checksum(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! Durable result store: round-trip bit-identity, key sensitivity and
-//! eviction order (`docs/STORE.md` states the contracts; `store_fault.rs`
-//! covers the corruption paths).
+//! Durable result store: round-trip bit-identity, key sensitivity and the
+//! runner's two-tier lookup (`docs/STORE.md` states the contracts;
+//! `store_fault.rs` covers the corruption paths).
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -121,56 +121,6 @@ fn code_version_change_forces_a_miss_on_the_same_files() {
         0,
         "a version miss is not corruption"
     );
-}
-
-#[test]
-fn eviction_removes_oldest_entries_first() {
-    let dir = scratch("eviction");
-    let cfg = cfg_2d();
-    let run = RunConfig::quick();
-    let store = Store::open(&dir).unwrap().with_max_entries(Some(2));
-
-    // Reuse one simulated result under three different mix keys — the
-    // store keys off identity, not payload content.
-    let first = mix("H1");
-    let result = runner::run_mix(&cfg, first, &run).unwrap();
-    let keys: Vec<StoreKey> = ["H1", "H2", "H3"]
-        .iter()
-        .map(|name| store.save_result(&cfg, name, &run, &result).unwrap())
-        .collect();
-
-    assert_eq!(store.len().unwrap(), 2, "capacity bound not enforced");
-    assert!(
-        !store.entry_path(keys[0]).exists(),
-        "oldest entry must be evicted first"
-    );
-    assert!(store.entry_path(keys[1]).exists());
-    assert!(store.entry_path(keys[2]).exists());
-    assert_eq!(store.stats().evicted, 1);
-
-    // One more save evicts the next-oldest.
-    store.save_result(&cfg, "VH2", &run, &result).unwrap();
-    assert!(!store.entry_path(keys[1]).exists());
-    assert_eq!(store.stats().evicted, 2);
-}
-
-#[test]
-fn sequence_numbers_survive_reopen_so_eviction_order_does_too() {
-    let dir = scratch("reopen-seq");
-    let cfg = cfg_2d();
-    let run = RunConfig::quick();
-    let m = mix("H2");
-    let result = runner::run_mix(&cfg, m, &run).unwrap();
-
-    let store = Store::open(&dir).unwrap();
-    let old_key = store.save_result(&cfg, "H2", &run, &result).unwrap();
-
-    // A later process appends with higher sequence numbers, so under a
-    // bound the *older* process's entry is the one to go.
-    let reopened = Store::open(&dir).unwrap().with_max_entries(Some(1));
-    let new_key = reopened.save_result(&cfg, "VH3", &run, &result).unwrap();
-    assert!(!reopened.entry_path(old_key).exists());
-    assert!(reopened.entry_path(new_key).exists());
 }
 
 /// The two-tier lookup seen from a session: memo miss + store hit serves

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use stacksim::configs::cfg_2d;
 use stacksim::runner::{self, RunConfig, RunResult};
-use stacksim_store::{Store, StoreKey};
+use stacksim_store::{Store, StoreKey, ENVELOPE_SCHEMA};
 use stacksim_workload::Mix;
 
 fn scratch(name: &str) -> PathBuf {
@@ -116,9 +116,12 @@ fn flipped_payload_digit_is_quarantined() {
 
 #[test]
 fn stale_schema_marker_is_quarantined() {
-    // An envelope from a hypothetical earlier store major.
+    // An envelope from the previous store major, whose checksum covered
+    // the compact serialization instead of the parsed tree.
+    const PREVIOUS: &str = "stacksim-store/1";
+    assert_ne!(ENVELOPE_SCHEMA, PREVIOUS);
     assert_quarantines("schema", "schema", |text| {
-        text.replace("stacksim-store/1", "stacksim-store/0")
+        text.replace(ENVELOPE_SCHEMA, PREVIOUS)
     });
 }
 
