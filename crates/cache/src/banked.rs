@@ -128,13 +128,6 @@ impl BankedCache {
         self.banks[bank].mark_dirty(local)
     }
 
-    /// Removes `line` if present, returning whether it was dirty.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let bank = self.bank_of(line).index();
-        let local = self.local_line(line);
-        self.banks[bank].invalidate(local)
-    }
-
     /// Inverse of [`local_line`](Self::local_line) for a given bank.
     fn globalize(&self, local: LineAddr, bank: u64) -> LineAddr {
         let n = self.banks.len() as u64;
@@ -252,14 +245,6 @@ mod tests {
                 assert!(v.line.index() < 20_000);
             }
         }
-    }
-
-    #[test]
-    fn invalidate_routes_to_correct_bank() {
-        let mut c = cache(InterleaveGranularity::Page);
-        c.fill(LineAddr::new(100), true);
-        assert_eq!(c.invalidate(LineAddr::new(100)), Some(true));
-        assert!(!c.contains(LineAddr::new(100)));
     }
 
     #[test]

@@ -52,23 +52,24 @@ impl CacheConfig {
         (self.size_bytes / LINE_BYTES) as usize
     }
 
+    /// Number of sets, or `None` unless the capacity is a positive whole
+    /// number of `associativity × 64 B` sets.
+    pub fn whole_sets(&self) -> Option<usize> {
+        let set_bytes = (self.associativity as u64).checked_mul(LINE_BYTES)?;
+        (set_bytes > 0 && self.size_bytes >= set_bytes && self.size_bytes.is_multiple_of(set_bytes))
+            .then(|| (self.size_bytes / set_bytes) as usize)
+    }
+
     /// Number of sets.
     ///
     /// # Panics
     ///
-    /// Panics if the capacity is not an exact multiple of
-    /// `associativity × 64 B`.
+    /// Panics if the capacity is not a positive multiple of
+    /// `associativity × 64 B` (see [`whole_sets`](Self::whole_sets)).
     pub fn sets(&self) -> usize {
-        assert!(
-            self.size_bytes.is_multiple_of(LINE_BYTES),
-            "capacity must be a whole number of lines"
-        );
-        let lines = self.lines();
-        assert!(
-            lines.is_multiple_of(self.associativity) && lines > 0,
-            "capacity must be a whole number of sets"
-        );
-        lines / self.associativity
+        let sets = self.whole_sets();
+        assert!(sets.is_some(), "capacity must be a whole number of sets");
+        sets.unwrap_or_default()
     }
 }
 
@@ -102,5 +103,22 @@ mod tests {
             associativity: 3,
         };
         let _ = c.sets();
+    }
+
+    #[test]
+    fn whole_sets_rejects_partial_lines_and_sets() {
+        let sets = |size_bytes, associativity| {
+            CacheConfig {
+                size_bytes,
+                associativity,
+            }
+            .whole_sets()
+        };
+        assert_eq!(sets(24 << 10, 12), Some(32));
+        assert_eq!(sets(24_640, 12), None); // 385 lines
+        assert_eq!(sets(786_436, 24), None); // not whole lines
+        assert_eq!(sets(64, 2), None); // less than one set
+        assert_eq!(sets(64, 0), None);
+        assert_eq!(sets(3 * 64 * 7, 3), Some(7));
     }
 }

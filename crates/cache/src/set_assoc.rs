@@ -1,6 +1,12 @@
 //! A set-associative, write-back, write-allocate cache with true LRU.
+//!
+//! Tags and dirty bits live in one [`LruSets`] way store: each set keeps
+//! its lines most recently used first, so a fill evicts the set's last
+//! line and no recency stamp is stored. No caller can observe which way
+//! holds a line, so this is bit-identical to any true-LRU layout that
+//! fills an empty way whenever one exists.
 
-use stacksim_types::LineAddr;
+use stacksim_types::{LineAddr, LruSets};
 
 use crate::config::CacheConfig;
 
@@ -23,10 +29,6 @@ pub struct Victim {
     pub dirty: bool,
 }
 
-/// Sentinel tag marking an invalid way. No real line reaches it: tags are
-/// line indices (physical addresses shifted down by the line-size bits).
-const INVALID_TAG: u64 = u64::MAX;
-
 /// A set-associative cache holding tags and metadata only (no data bytes —
 /// the simulator tracks timing and movement, not values).
 ///
@@ -35,21 +37,14 @@ const INVALID_TAG: u64 = u64::MAX;
 /// lockup-free pipeline of the simulated machine and keeps "in flight" state
 /// in the MSHRs where the paper's §5 analysis needs it.
 ///
-/// Way state lives in flat parallel arrays (`tags` / `dirty` / `last_use`,
-/// set *s* at indices `s * assoc .. (s + 1) * assoc`, `INVALID_TAG` for
-/// empty ways) rather than per-set `Vec<Way>` structs: `contains` — the
-/// single hottest probe in the simulator (every demand access, every
-/// prefetch candidate, every inclusion check) — scans `assoc` consecutive
-/// words instead of pointer-chasing a nested vector of 32-byte structs.
+/// Way state is one [`LruSets`] keyed by line index, with the dirty bit as
+/// the slot flag: one `u64` per way. `contains` — the single hottest probe
+/// in the simulator (every demand access, every prefetch candidate, every
+/// inclusion check) — scans `assoc` consecutive words.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    set_count: usize,
-    assoc: usize,
-    tags: Vec<u64>,
-    dirty: Vec<bool>,
-    last_use: Vec<u64>,
-    clock: u64,
+    ways: LruSets,
     hits: u64,
     misses: u64,
     writebacks: u64,
@@ -63,16 +58,9 @@ impl SetAssocCache {
     ///
     /// Panics if the configuration does not describe a whole number of sets.
     pub fn new(config: CacheConfig) -> Self {
-        let set_count = config.sets();
-        let ways = set_count * config.associativity;
         SetAssocCache {
             config,
-            set_count,
-            assoc: config.associativity,
-            tags: vec![INVALID_TAG; ways],
-            dirty: vec![false; ways],
-            last_use: vec![0; ways],
-            clock: 0,
+            ways: LruSets::new(config.sets(), config.associativity),
             hits: 0,
             misses: 0,
             writebacks: 0,
@@ -85,120 +73,47 @@ impl SetAssocCache {
         &self.config
     }
 
-    /// Index of the first way of `line`'s set.
-    #[inline]
-    fn set_base(&self, line: LineAddr) -> usize {
-        debug_assert_ne!(line.index(), INVALID_TAG, "line index hit the sentinel");
-        (line.index() % self.set_count as u64) as usize * self.assoc
-    }
-
-    /// Way index holding `tag` within the set starting at `base`, if any.
-    #[inline]
-    fn find_way(&self, base: usize, tag: u64) -> Option<usize> {
-        self.tags[base..base + self.assoc]
-            .iter()
-            .position(|&t| t == tag)
-            .map(|p| base + p)
-    }
-
     /// Probes for `line`; on a hit updates recency and, for writes, the
     /// dirty bit.
     pub fn access(&mut self, line: LineAddr, is_write: bool) -> AccessOutcome {
-        self.clock += 1;
-        let base = self.set_base(line);
-        if let Some(w) = self.find_way(base, line.index()) {
-            self.last_use[w] = self.clock;
-            self.dirty[w] |= is_write;
+        if self.ways.touch(line.index(), is_write) {
             self.hits += 1;
-            return AccessOutcome::Hit;
+            AccessOutcome::Hit
+        } else {
+            self.misses += 1;
+            AccessOutcome::Miss
         }
-        self.misses += 1;
-        AccessOutcome::Miss
     }
 
     /// Probes without updating any state (for inclusive-hierarchy checks).
     pub fn contains(&self, line: LineAddr) -> bool {
-        let base = self.set_base(line);
-        self.tags[base..base + self.assoc].contains(&line.index())
+        self.ways.contains(line.index())
     }
 
-    /// Installs `line`, evicting the LRU way of its set if necessary.
-    /// Returns the victim if one was evicted; dirty victims must be written
-    /// back by the caller.
+    /// Installs `line` as its set's most recently used line, evicting the
+    /// least recently used one if the set is full. A line that raced in
+    /// already is refreshed in place and absorbs `dirty`. Returns the
+    /// victim if one was evicted; dirty victims must be written back by the
+    /// caller.
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Victim> {
-        self.clock += 1;
         self.fills += 1;
-        let base = self.set_base(line);
-        let tag = line.index();
-        // One pass picks the way: the line itself if it raced in already
-        // (refresh in place), else the first invalid way, else the least
-        // recently used (first minimum in scan order).
-        let end = base + self.assoc;
-        let mut resident = None;
-        let mut invalid = None;
-        let (mut lru, mut lru_use) = (0, u64::MAX);
-        for (i, (&t, &used)) in self.tags[base..end]
-            .iter()
-            .zip(&self.last_use[base..end])
-            .enumerate()
-        {
-            if t == tag {
-                resident = Some(i);
-                break;
-            }
-            if t == INVALID_TAG {
-                invalid = invalid.or(Some(i));
-            } else if used < lru_use {
-                (lru, lru_use) = (i, used);
-            }
-        }
-        if let Some(i) = resident {
-            let w = base + i;
-            self.last_use[w] = self.clock;
-            self.dirty[w] |= dirty;
-            return None;
-        }
-        let (w, evicted) = match invalid {
-            Some(i) => (base + i, false),
-            None => (base + lru, true),
-        };
-        let victim = evicted.then(|| Victim {
-            line: LineAddr::new(self.tags[w]),
-            dirty: self.dirty[w],
-        });
-        if victim.as_ref().is_some_and(|v| v.dirty) {
-            self.writebacks += 1;
-        }
-        self.tags[w] = tag;
-        self.dirty[w] = dirty;
-        self.last_use[w] = self.clock;
-        victim
-    }
-
-    /// Removes `line` if present, returning whether it was dirty.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let base = self.set_base(line);
-        let w = self.find_way(base, line.index())?;
-        self.tags[w] = INVALID_TAG;
-        Some(self.dirty[w])
+        let (line, dirty) = self.ways.insert(line.index(), dirty)?;
+        self.writebacks += u64::from(dirty);
+        Some(Victim {
+            line: LineAddr::new(line),
+            dirty,
+        })
     }
 
     /// Marks `line` dirty if present (write to an already-resident line
     /// discovered through another path).
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        let base = self.set_base(line);
-        match self.find_way(base, line.index()) {
-            Some(w) => {
-                self.dirty[w] = true;
-                true
-            }
-            None => false,
-        }
+        self.ways.set_flag(line.index())
     }
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
+        self.ways.resident()
     }
 
     /// Demand hits observed.
@@ -232,6 +147,7 @@ impl SetAssocCache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn tiny() -> SetAssocCache {
         // 2 sets x 2 ways.
@@ -291,16 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes() {
-        let mut c = tiny();
-        c.fill(LineAddr::new(0), true);
-        assert_eq!(c.invalidate(LineAddr::new(0)), Some(true));
-        assert_eq!(c.invalidate(LineAddr::new(0)), None);
-        assert!(!c.contains(LineAddr::new(0)));
-        assert_eq!(c.occupancy(), 0);
-    }
-
-    #[test]
     fn mark_dirty_only_if_present() {
         let mut c = tiny();
         c.fill(LineAddr::new(0), false);
@@ -327,85 +233,151 @@ mod tests {
         assert_eq!(c.miss_rate(), Some(0.5));
     }
 
-    /// Reference fill in three scans: resident way, else first invalid
-    /// way, else first LRU minimum.
-    fn reference_fill(c: &mut SetAssocCache, line: LineAddr, dirty: bool) -> Option<Victim> {
-        c.clock += 1;
-        c.fills += 1;
-        let base = c.set_base(line);
-        if let Some(w) = c.find_way(base, line.index()) {
-            c.last_use[w] = c.clock;
-            c.dirty[w] |= dirty;
-            return None;
-        }
-        let (w, evicted) = match c.find_way(base, INVALID_TAG) {
-            Some(w) => (w, false),
-            None => {
-                let w = (base..base + c.assoc)
-                    .min_by_key(|&w| c.last_use[w])
-                    .unwrap();
-                (w, true)
-            }
-        };
-        let victim = evicted.then(|| Victim {
-            line: LineAddr::new(c.tags[w]),
-            dirty: c.dirty[w],
-        });
-        if victim.as_ref().is_some_and(|v| v.dirty) {
-            c.writebacks += 1;
-        }
-        c.tags[w] = line.index();
-        c.dirty[w] = dirty;
-        c.last_use[w] = c.clock;
-        victim
+    /// Naive true-LRU reference: one deque per set, most recent first.
+    struct Reference {
+        sets: Vec<VecDeque<(u64, bool)>>,
+        assoc: usize,
+        hits: u64,
+        misses: u64,
+        fills: u64,
+        writebacks: u64,
     }
 
-    fn state(c: &SetAssocCache) -> (&[u64], &[bool], &[u64], u64, u64, u64) {
-        (
-            &c.tags,
-            &c.dirty,
-            &c.last_use,
-            c.clock,
-            c.fills,
-            c.writebacks,
-        )
+    impl Reference {
+        fn new(sets: usize, assoc: usize) -> Self {
+            Reference {
+                sets: vec![VecDeque::new(); sets],
+                assoc,
+                hits: 0,
+                misses: 0,
+                fills: 0,
+                writebacks: 0,
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut VecDeque<(u64, bool)> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(line % n) as usize]
+        }
+
+        fn find(&mut self, line: u64) -> Option<usize> {
+            self.set(line).iter().position(|&(l, _)| l == line)
+        }
+
+        fn access(&mut self, line: u64, write: bool) -> AccessOutcome {
+            match self.find(line) {
+                Some(i) => {
+                    let set = self.set(line);
+                    let (l, dirty) = set.remove(i).unwrap();
+                    set.push_front((l, dirty | write));
+                    self.hits += 1;
+                    AccessOutcome::Hit
+                }
+                None => {
+                    self.misses += 1;
+                    AccessOutcome::Miss
+                }
+            }
+        }
+
+        fn fill(&mut self, line: u64, dirty: bool) -> Option<Victim> {
+            self.fills += 1;
+            let assoc = self.assoc;
+            let found = self.find(line);
+            let set = self.set(line);
+            if let Some(i) = found {
+                let (l, d) = set.remove(i).unwrap();
+                set.push_front((l, d | dirty));
+                return None;
+            }
+            let victim = (set.len() == assoc).then(|| set.pop_back().unwrap());
+            set.push_front((line, dirty));
+            let (line, dirty) = victim?;
+            self.writebacks += u64::from(dirty);
+            Some(Victim {
+                line: LineAddr::new(line),
+                dirty,
+            })
+        }
+
+        fn mark_dirty(&mut self, line: u64) -> bool {
+            let found = self.find(line);
+            if let Some(i) = found {
+                self.set(line)[i].1 = true;
+            }
+            found.is_some()
+        }
+
+        fn contains(&mut self, line: u64) -> bool {
+            self.find(line).is_some()
+        }
+    }
+
+    /// The largest line index a `PhysAddr` yields.
+    const MAX_LINE: u64 = (1 << 58) - 1;
+
+    /// (sets, ways): direct-mapped, a non-power-of-two set count, the L2
+    /// bank's associativity, and more ways than a cache line has bytes.
+    const GEOMETRIES: [(usize, usize); 4] = [(5, 1), (7, 3), (2, 24), (3, 65)];
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Access(bool),
+        Fill(bool),
+        Contains,
+        MarkDirty,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            any::<bool>().prop_map(Op::Access),
+            any::<bool>().prop_map(Op::Fill),
+            Just(Op::Contains),
+            Just(Op::MarkDirty),
+        ]
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Starts from arbitrary set contents (invalid holes, recency ties
-        /// the public API cannot produce) and checks that one-pass fills
-        /// pick the same way as the reference, through fills and
-        /// invalidations.
+        /// Random operation sequences give the reference's outcomes,
+        /// victims and counters, on lines near zero and near the top of
+        /// the line-index range.
         #[test]
-        fn one_pass_fill_matches_three_scan_reference(
-            ways in proptest::collection::vec((0u64..10, 0u64..3, any::<bool>()), 8..9),
-            ops in proptest::collection::vec((0u64..10, any::<bool>(), any::<bool>()), 1..40),
+        fn cache_matches_naive_lru_reference(
+            geometry in 0..GEOMETRIES.len(),
+            ops in proptest::collection::vec((op(), 0u64..256, any::<bool>()), 1..600),
         ) {
-            // 2 sets x 4 ways; lines 0, 2, 4, ... map to set 0.
-            let mut c = SetAssocCache::new(CacheConfig { size_bytes: 8 * 64, associativity: 4 });
-            for (w, &(tag, last_use, dirty)) in ways.iter().enumerate() {
-                let line = tag * 2 + (w / 4) as u64;
-                // Tags 8 and 9 stand for invalid ways; a set never holds a
-                // line twice.
-                let base = (w / 4) * 4;
-                let dup = c.tags[base..w].contains(&line);
-                c.tags[w] = if tag >= 8 || dup { INVALID_TAG } else { line };
-                c.last_use[w] = last_use;
-                c.dirty[w] = dirty;
-            }
-            c.clock = 3;
-            let mut reference = c.clone();
-            for &(l, dirty, invalidate) in &ops {
-                let line = LineAddr::new(l);
-                if invalidate {
-                    prop_assert_eq!(c.invalidate(line), reference.invalidate(line));
-                } else {
-                    prop_assert_eq!(c.fill(line, dirty), reference_fill(&mut reference, line, dirty));
+            let (sets, assoc) = GEOMETRIES[geometry];
+            let mut c = SetAssocCache::new(CacheConfig {
+                size_bytes: (sets * assoc * 64) as u64,
+                associativity: assoc,
+            });
+            let mut reference = Reference::new(sets, assoc);
+            // Enough distinct lines per set to force evictions.
+            let universe = (sets * (assoc + 2)) as u64;
+            for &(op, n, high) in &ops {
+                let line = if high { MAX_LINE - n % 8 } else { n % universe };
+                let addr = LineAddr::new(line);
+                match op {
+                    Op::Access(write) => {
+                        prop_assert_eq!(c.access(addr, write), reference.access(line, write));
+                    }
+                    Op::Fill(dirty) => {
+                        prop_assert_eq!(c.fill(addr, dirty), reference.fill(line, dirty));
+                    }
+                    Op::Contains => prop_assert_eq!(c.contains(addr), reference.contains(line)),
+                    Op::MarkDirty => {
+                        prop_assert_eq!(c.mark_dirty(addr), reference.mark_dirty(line));
+                    }
                 }
-                prop_assert_eq!(state(&c), state(&reference));
             }
+            prop_assert_eq!(
+                (c.hits(), c.misses(), c.fills(), c.writebacks()),
+                (reference.hits, reference.misses, reference.fills, reference.writebacks)
+            );
+            let resident: usize = reference.sets.iter().map(VecDeque::len).sum();
+            prop_assert_eq!(c.occupancy(), resident);
         }
     }
 

@@ -11,15 +11,13 @@ use stacksim_types::{InterleaveGranularity, LineAddr};
 enum Op {
     Access { line: u64, write: bool },
     Fill { line: u64, dirty: bool },
-    Invalidate(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     let line = 0u64..96; // small universe over a tiny cache forces evictions
     prop_oneof![
         (line.clone(), any::<bool>()).prop_map(|(line, write)| Op::Access { line, write }),
-        (line.clone(), any::<bool>()).prop_map(|(line, dirty)| Op::Fill { line, dirty }),
-        line.prop_map(Op::Invalidate),
+        (line, any::<bool>()).prop_map(|(line, dirty)| Op::Fill { line, dirty }),
     ]
 }
 
@@ -65,11 +63,6 @@ proptest! {
                     }
                     let entry = model.resident.entry(line).or_insert(false);
                     *entry |= dirty;
-                }
-                Op::Invalidate(line) => {
-                    let got = cache.invalidate(LineAddr::new(line));
-                    let expected = model.resident.remove(&line);
-                    prop_assert_eq!(got, expected, "step {}: invalidate {}", step, line);
                 }
             }
             // Occupancy always matches, and never exceeds capacity.

@@ -217,13 +217,16 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] for: zero cores, a per-core override list
-    /// whose length does not match the core count, a non-positive core
-    /// clock, zero stacks or MCs not divisible among stacks,
-    /// L2 banks not divisible by the MC count (the streamlined floorplan
-    /// needs the alignment), MSHR entries not divisible by the MC count, an
-    /// MRQ smaller than the MC count, an invalid memory geometry, zero row
-    /// buffers per bank, or a refresh period that is non-positive or rounds
-    /// to zero cycles per row (either would abort bank construction).
+    /// whose length does not match the core count, a core that fails
+    /// [`CoreConfig::check`] (including a DL1 that is not a whole number of
+    /// sets), a non-positive core clock, zero stacks or MCs not divisible
+    /// among stacks, an L2 that does not split into banks of whole sets, a
+    /// DTLB that is not a whole number of sets, L2 banks not divisible by
+    /// the MC count (the streamlined floorplan needs the alignment), MSHR
+    /// entries not divisible by the MC count, an MRQ smaller than the MC
+    /// count, an invalid memory geometry, zero row buffers per bank, or a
+    /// refresh period that is non-positive or rounds to zero cycles per row
+    /// (either would abort bank construction).
     #[must_use = "the Err is the configuration problem; dropping it defeats validation"]
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
@@ -237,11 +240,11 @@ impl SystemConfig {
             )));
         }
         if let Err(msg) = self.core.check() {
-            return Err(ConfigError::new(format!("core model: {msg}")));
+            return Err(ConfigError::new(format!("machine.core: {msg}")));
         }
         for (i, c) in self.per_core.iter().enumerate() {
             if let Err(msg) = c.check() {
-                return Err(ConfigError::new(format!("core {i}: {msg}")));
+                return Err(ConfigError::new(format!("machine.per_core[{i}]: {msg}")));
             }
         }
         if self.core_hz.is_nan() || self.core_hz <= 0.0 {
@@ -274,6 +277,23 @@ impl SystemConfig {
                 ));
             }
         }
+        let banks = u64::from(self.l2_banks);
+        if banks == 0 || !self.l2.size_bytes.is_multiple_of(banks) {
+            return Err(ConfigError::new(format!(
+                "machine.l2.size_bytes = {} B does not divide among {} banks",
+                self.l2.size_bytes, self.l2_banks
+            )));
+        }
+        let bank = CacheConfig {
+            size_bytes: self.l2.size_bytes / banks,
+            ..self.l2
+        };
+        if bank.whole_sets().is_none() {
+            return Err(ConfigError::new(format!(
+                "machine.l2.size_bytes = {} B gives {} B per bank, not a whole number of {}-way sets of 64 B lines",
+                self.l2.size_bytes, bank.size_bytes, bank.associativity
+            )));
+        }
         let mcs = self.memory.mcs as usize;
         if !(self.l2_banks as usize).is_multiple_of(mcs) {
             return Err(ConfigError::new(format!(
@@ -299,8 +319,14 @@ impl SystemConfig {
             return Err(ConfigError::new("bus/MC clocking must be non-zero"));
         }
         if let Some(tlb) = &self.vm {
-            if tlb.associativity == 0 || tlb.entries % tlb.associativity != 0 {
-                return Err(ConfigError::new("TLB entries must divide into whole sets"));
+            if tlb.associativity == 0
+                || tlb.entries == 0
+                || !tlb.entries.is_multiple_of(tlb.associativity)
+            {
+                return Err(ConfigError::new(format!(
+                    "machine.vm.entries = {} do not divide into whole {}-way sets",
+                    tlb.entries, tlb.associativity
+                )));
             }
         }
         Ok(())

@@ -62,8 +62,8 @@ impl CoreConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any width or the window is zero, or the window is smaller
-    /// than the issue width.
+    /// Panics if any width or the window is zero, the window is smaller
+    /// than the issue width, or the DL1 is not a whole number of sets.
     pub fn validate(&self) {
         if let Err(msg) = self.check() {
             panic!("{msg}"); // simlint::allow(P003, reason = "documented panicking validator; `check` is the typed-error path")
@@ -99,6 +99,12 @@ impl CoreConfig {
         }
         if self.l1_mshrs == 0 {
             return Err("core needs at least one L1 MSHR".into());
+        }
+        if self.dl1.whole_sets().is_none() {
+            return Err(format!(
+                "dl1.size_bytes = {} B is not a whole number of {}-way sets of 64 B lines",
+                self.dl1.size_bytes, self.dl1.associativity
+            ));
         }
         Ok(())
     }

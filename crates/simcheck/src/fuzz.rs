@@ -134,6 +134,20 @@ fn set_key(v: &mut Json, path: &[&str], value: Json) {
     }
 }
 
+/// The member at `path` inside nested JSON objects, if present.
+fn member_mut<'a>(v: &'a mut Json, path: &[&str]) -> Option<&'a mut Json> {
+    path.iter().try_fold(v, |v, key| match v {
+        Json::Obj(members) => members.iter_mut().find(|(k, _)| k == key).map(|m| &mut m.1),
+        _ => None,
+    })
+}
+
+/// A geometry's `(ways, sets)`, each one of its options, uniformly.
+fn geometry(rng: &mut SmallRng, ways: &[u64], sets: &[u64]) -> (u64, u64) {
+    let ways = ways[rng.gen_range(0..ways.len())];
+    (ways, sets[rng.gen_range(0..sets.len())])
+}
+
 /// Deterministically generates the case for `seed`.
 ///
 /// # Panics
@@ -203,6 +217,34 @@ pub fn generate(seed: u64) -> FuzzCase {
         &["machine", "l2", "prefetch"],
         Json::Bool(rng.gen::<bool>()),
     );
+    // Cache and DTLB geometries: associativity and set count per seed,
+    // direct-mapped and non-power-of-two set counts included. The L2's set
+    // count is per bank, so every bank holds whole sets.
+    let (ways, sets) = geometry(&mut rng, &[1, 2, 3, 8, 12], &[1, 5, 24, 32]);
+    let dl1 = Json::Obj(vec![
+        ("size_bytes".into(), Json::Num((sets * ways * 64) as f64)),
+        ("associativity".into(), Json::Num(ways as f64)),
+    ]);
+    set_key(&mut doc, &["machine", "core", "dl1"], dl1.clone());
+    if let Some(Json::Arr(cores)) = member_mut(&mut doc, &["machine", "per_core"]) {
+        for core in cores {
+            set_key(core, &["dl1"], dl1.clone());
+        }
+    }
+    let (ways, sets) = geometry(&mut rng, &[1, 3, 8, 24], &[3, 64, 100, 533]);
+    let banks = u64::from(base.config.l2_banks);
+    for (key, value) in [
+        ("size_bytes", banks * sets * ways * 64),
+        ("associativity", ways),
+    ] {
+        set_key(&mut doc, &["machine", "l2", key], Json::Num(value as f64));
+    }
+    if base.config.vm.is_some() {
+        let (ways, sets) = geometry(&mut rng, &[1, 3, 4], &[1, 5, 16]);
+        for (key, value) in [("entries", sets * ways), ("associativity", ways)] {
+            set_key(&mut doc, &["machine", "vm", key], Json::Num(value as f64));
+        }
+    }
 
     let cfg = Scenario::from_str(&doc.pretty())
         .expect("scenario mutated within schema bounds must reparse")
@@ -321,6 +363,17 @@ const SHRINK_OPS: &[ShrinkOp] = &[
     }),
     ("open-page", |c| c.cfg.memory.page_policy = PagePolicy::Open),
     ("no-prefetch", |c| c.cfg.l2_prefetch = false),
+    ("penryn-caches", |c| {
+        let penryn = stacksim::configs::cfg_2d();
+        c.cfg.l2 = penryn.l2;
+        c.cfg.core.dl1 = penryn.core.dl1;
+        for core in &mut c.cfg.per_core {
+            core.dl1 = penryn.core.dl1;
+        }
+        if c.cfg.vm.is_some() {
+            c.cfg.vm = penryn.vm;
+        }
+    }),
     ("mix-m1", |c| c.mix = "M1"),
 ];
 
@@ -514,6 +567,23 @@ mod tests {
             .any(|c| c.cfg.memory.refresh.period_ms.is_some()));
         assert!(cases.iter().any(|c| c.cfg.mshr.dynamic.is_some()));
         assert!(cases.iter().any(|c| c.cfg.memory.mcs > 1));
+        // Cache geometries: direct-mapped and non-power-of-two set counts
+        // at every level, and each L2 bank a whole number of sets.
+        let l2_sets = |c: &FuzzCase| c.cfg.l2.sets() / c.cfg.l2_banks as usize;
+        assert!(cases.iter().any(|c| c.cfg.core.dl1.associativity == 1));
+        assert!(cases
+            .iter()
+            .any(|c| !c.cfg.core.dl1.sets().is_power_of_two()));
+        assert!(cases.iter().any(|c| c.cfg.l2.associativity == 1));
+        assert!(cases.iter().any(|c| !l2_sets(c).is_power_of_two()));
+        assert!(cases
+            .iter()
+            .filter_map(|c| c.cfg.vm)
+            .any(|t| t.associativity == 1 || !t.sets().is_power_of_two()));
+        for c in &cases {
+            let bank = c.cfg.l2.size_bytes / u64::from(c.cfg.l2_banks);
+            assert_eq!(bank % (64 * c.cfg.l2.associativity as u64), 0);
+        }
     }
 
     #[test]
@@ -526,6 +596,7 @@ mod tests {
         assert_eq!(minimal.cfg.memory.refresh.period_ms, None);
         assert_eq!(minimal.mix, "M1");
         assert_eq!(minimal.run.measure_cycles, 6_000);
+        assert_eq!(minimal.cfg.l2, stacksim::configs::cfg_2d().l2);
         assert!(!applied.is_empty(), "{applied:?}");
         // And a predicate that never holds keeps the case untouched.
         let (same, none) = shrink_with(&case, |_| false);

@@ -12,6 +12,7 @@
 //!   [`BankId`], …);
 //! * [`AddressMapper`] — the page-interleaved physical-address → DRAM
 //!   location decode used throughout the paper's §4.1 floorplans;
+//! * [`LruSets`] — the true-LRU way store of the caches and the DTLB;
 //! * shared configuration structs ([`DramTiming`], [`BusConfig`], …).
 //!
 //! # Examples
@@ -33,6 +34,7 @@ mod config;
 mod error;
 mod fast_hash;
 mod ids;
+mod lru;
 mod mapping;
 mod time;
 
@@ -43,5 +45,6 @@ pub use config::{BusConfig, DramTiming, DramTimingCycles, MemoryKind, RefreshCon
 pub use error::ConfigError;
 pub use fast_hash::{FastBuildHasher, FastHasher};
 pub use ids::{BankId, CoreId, L2BankId, McId, MshrBankId, RankId, ThreadId};
+pub use lru::LruSets;
 pub use mapping::{AddressMapper, DramLocation, InterleaveGranularity, MemoryGeometry};
 pub use time::{ClockDomain, Cycle, Cycles};

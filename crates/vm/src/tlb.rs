@@ -1,6 +1,11 @@
 //! Set-associative TLB models (Table 1: 64-entry, 4-way DTLB).
+//!
+//! Entries live in the [`LruSets`] way store the caches share, keyed by
+//! virtual page with the slot flag unused: each set keeps its pages most
+//! recently used first, and a miss fills an empty entry if one exists,
+//! else replaces the set's least recently used page.
 
-use stacksim_types::Cycles;
+use stacksim_types::{Cycles, LruSets};
 
 /// TLB geometry and miss cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -57,13 +62,6 @@ pub enum TlbOutcome {
     },
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct TlbEntry {
-    vpage: u64,
-    valid: bool,
-    last_use: u64,
-}
-
 /// A set-associative, LRU translation lookaside buffer.
 ///
 /// The TLB caches *which* virtual pages are translated, not the frame
@@ -83,8 +81,7 @@ struct TlbEntry {
 #[derive(Clone, Debug)]
 pub struct Tlb {
     config: TlbConfig,
-    sets: Vec<Vec<TlbEntry>>,
-    clock: u64,
+    entries: LruSets,
     hits: u64,
     misses: u64,
 }
@@ -96,39 +93,23 @@ impl Tlb {
     ///
     /// Panics if the geometry is not a whole number of sets.
     pub fn new(config: TlbConfig) -> Self {
-        let sets = config.sets();
         Tlb {
             config,
-            sets: vec![vec![TlbEntry::default(); config.associativity]; sets],
-            clock: 0,
+            entries: LruSets::new(config.sets(), config.associativity),
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Accesses the translation for `vpage`, filling on a miss.
+    /// Accesses the translation for `vpage`, filling on a miss with the
+    /// set's least recently used entry as the victim.
     pub fn access(&mut self, vpage: u64) -> TlbOutcome {
-        self.clock += 1;
-        let set = (vpage % self.sets.len() as u64) as usize;
-        if let Some(e) = self.sets[set]
-            .iter_mut()
-            .find(|e| e.valid && e.vpage == vpage)
-        {
-            e.last_use = self.clock;
+        if self.entries.touch(vpage, false) {
             self.hits += 1;
             return TlbOutcome::Hit;
         }
         self.misses += 1;
-        let clock = self.clock;
-        let victim = self.sets[set]
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.last_use } else { 0 })
-            .expect("associativity is non-zero"); // simlint::allow(P002, reason = "the constructor rejects zero associativity, so min_by_key sees an entry")
-        *victim = TlbEntry {
-            vpage,
-            valid: true,
-            last_use: clock,
-        };
+        self.entries.insert(vpage, false);
         TlbOutcome::Miss {
             walk: self.config.walk_latency,
         }
@@ -136,17 +117,7 @@ impl Tlb {
 
     /// Whether `vpage`'s translation is cached (no state change).
     pub fn contains(&self, vpage: u64) -> bool {
-        let set = (vpage % self.sets.len() as u64) as usize;
-        self.sets[set].iter().any(|e| e.valid && e.vpage == vpage)
-    }
-
-    /// Invalidates every entry (context switch / shootdown).
-    pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for e in set {
-                e.valid = false;
-            }
-        }
+        self.entries.contains(vpage)
     }
 
     /// Hit count.
@@ -169,6 +140,8 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn tiny() -> Tlb {
         Tlb::new(TlbConfig {
@@ -216,15 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_invalidates() {
-        let mut t = tiny();
-        t.access(1);
-        t.flush();
-        assert!(!t.contains(1));
-        assert!(matches!(t.access(1), TlbOutcome::Miss { .. }));
-    }
-
-    #[test]
     fn stats_miss_rate() {
         let mut t = tiny();
         t.access(1);
@@ -238,6 +202,63 @@ mod tests {
         assert_eq!(c.sets(), 16);
         let t = Tlb::new(c);
         assert!(!t.contains(0));
+    }
+
+    /// (entries, associativity): direct-mapped, a non-power-of-two set
+    /// count, the Table 1 DTLB, and one 65-way set.
+    const GEOMETRIES: [(usize, usize); 4] = [(5, 1), (21, 3), (64, 4), (65, 65)];
+
+    /// The largest virtual page a 64-bit address yields.
+    const MAX_VPAGE: u64 = u64::MAX / 4096;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random access/probe sequences give the outcomes and counters of
+        /// a naive reference: one deque of pages per set, most recent
+        /// first.
+        #[test]
+        fn tlb_matches_naive_lru_reference(
+            geometry in 0..GEOMETRIES.len(),
+            ops in proptest::collection::vec((any::<bool>(), 0u64..256, any::<bool>()), 1..600),
+        ) {
+            let (entries, associativity) = GEOMETRIES[geometry];
+            let mut t = Tlb::new(TlbConfig {
+                entries,
+                associativity,
+                walk_latency: Cycles::new(30),
+            });
+            let sets = entries / associativity;
+            let mut reference: Vec<VecDeque<u64>> = vec![VecDeque::new(); sets];
+            let (mut hits, mut misses) = (0, 0);
+            let universe = (sets * (associativity + 2)) as u64;
+            for &(probe, n, high) in &ops {
+                let vpage = if high { MAX_VPAGE - n % 8 } else { n % universe };
+                let set = &mut reference[(vpage % sets as u64) as usize];
+                let found = set.iter().position(|&p| p == vpage);
+                if probe {
+                    prop_assert_eq!(t.contains(vpage), found.is_some());
+                    continue;
+                }
+                let expected = match found {
+                    Some(i) => {
+                        set.remove(i);
+                        hits += 1;
+                        TlbOutcome::Hit
+                    }
+                    None => {
+                        if set.len() == associativity {
+                            set.pop_back();
+                        }
+                        misses += 1;
+                        TlbOutcome::Miss { walk: Cycles::new(30) }
+                    }
+                };
+                set.push_front(vpage);
+                prop_assert_eq!(t.access(vpage), expected);
+            }
+            prop_assert_eq!((t.hits(), t.misses()), (hits, misses));
+        }
     }
 
     #[test]

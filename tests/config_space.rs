@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 
+use stacksim::scenario::{Scenario, ScenarioError};
 use stacksim::{configs, System, SystemConfig};
 use stacksim_mshr::MshrKind;
 use stacksim_types::InterleaveGranularity;
@@ -77,6 +78,48 @@ fn invalid_shapes_are_rejected() {
     let mut cfg = configs::cfg_2d();
     cfg.memory.bus_clock_divisor = 0;
     assert!(cfg.validate().is_err());
+    // Cache geometries that do not split into whole sets: each error names
+    // the offending key.
+    for (cfg, key) in ragged_cache_geometries() {
+        let err = cfg.validate().unwrap_err().to_string();
+        assert!(err.contains(key), "{err} does not name {key}");
+    }
+}
+
+/// Machines whose caches do not split into whole sets, with the scenario
+/// key each error must name.
+fn ragged_cache_geometries() -> Vec<(SystemConfig, &'static str)> {
+    let base = configs::cfg_2d();
+    let mut cases = Vec::new();
+    // 12 MB + 64 B: divides among 16 banks, but a bank is not whole lines.
+    let mut cfg = base.clone();
+    cfg.l2.size_bytes = 12_582_976;
+    cases.push((cfg, "machine.l2.size_bytes"));
+    // 12 MB + 8 B: does not divide among 16 banks.
+    let mut cfg = base.clone();
+    cfg.l2.size_bytes = 12_582_920;
+    cases.push((cfg, "machine.l2.size_bytes"));
+    // Whole lines per bank, but not whole 24-way sets.
+    let mut cfg = base.clone();
+    cfg.l2.size_bytes = (12 << 20) + 16 * 64;
+    cases.push((cfg, "machine.l2.size_bytes"));
+    // 385 lines do not split into 12-way sets.
+    let mut cfg = base.clone();
+    cfg.core.dl1.size_bytes = 24_640;
+    cases.push((cfg, "machine.core: dl1.size_bytes"));
+    // The same DL1 on one core of a heterogeneous machine.
+    let mut cfg = base.clone();
+    cfg.per_core = vec![cfg.core.clone(); cfg.cores];
+    cfg.per_core[2].dl1.size_bytes = 24_640;
+    cases.push((cfg, "machine.per_core[2]: dl1.size_bytes"));
+    // A DTLB that is not whole sets.
+    let mut cfg = base;
+    cfg.vm = Some(stacksim_vm::TlbConfig {
+        entries: 10,
+        ..stacksim_vm::TlbConfig::dtlb_penryn()
+    });
+    cases.push((cfg, "machine.vm.entries"));
+    cases
 }
 
 #[test]
@@ -85,4 +128,34 @@ fn system_rejects_what_validate_rejects() {
     cfg.mshr.total_entries = 10;
     let mix = Mix::by_name("M1").unwrap();
     assert!(System::for_mix(&cfg, mix, 0).is_err());
+    for (cfg, key) in ragged_cache_geometries() {
+        match System::for_mix(&cfg, mix, 0) {
+            Err(e) => assert!(e.to_string().contains(key), "{e} does not name {key}"),
+            Ok(_) => panic!("{key}: ragged geometry built a system"),
+        }
+    }
+}
+
+#[test]
+fn ragged_cache_scenarios_fail_typed() {
+    for (machine, key) in [
+        (
+            r#"{"l2": {"size_bytes": 12582976}}"#,
+            "machine.l2.size_bytes",
+        ),
+        (
+            r#"{"core": {"dl1": {"size_bytes": 24640}}}"#,
+            "machine.core: dl1.size_bytes",
+        ),
+    ] {
+        let text = format!(
+            r#"{{"schema": "stacksim-scenario/1", "name": "ragged", "machine": {machine}}}"#
+        );
+        match Scenario::from_str(&text) {
+            Err(ScenarioError::Config(e)) => {
+                assert!(e.to_string().contains(key), "{e} does not name {key}")
+            }
+            other => panic!("{text}: expected a config error, got {other:?}"),
+        }
+    }
 }
