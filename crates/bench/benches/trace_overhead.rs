@@ -8,14 +8,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use stacksim::configs;
 use stacksim::runner::{run_mix, RunConfig};
+use stacksim::scenario::Machines;
 use stacksim::trace::TraceConfig;
 use stacksim_bench::bench_run;
 use stacksim_workload::Mix;
 
 fn bench_trace_overhead(c: &mut Criterion) {
-    let cfg = configs::cfg_quad_mc();
+    let cfg = Machines::builtin().quad_mc;
     let mix = Mix::by_name("VH1").expect("known mix");
     let mut group = c.benchmark_group("trace_overhead");
     group.sample_size(10);

@@ -27,9 +27,9 @@
 //!   fast-forward skipped (memoized experiments simulate nothing new, so
 //!   their fraction is `null`).
 //! * `--machines <dir>` — load the six named machines from scenario files
-//!   in `<dir>` instead of the built-in constructors (the shipped
-//!   `scenarios/` directory is picked up automatically when present; see
-//!   `docs/SCENARIOS.md`).
+//!   in `<dir>` instead of the copies compiled into the binary (the
+//!   shipped `scenarios/` directory is picked up automatically when
+//!   present; see `docs/SCENARIOS.md`).
 //! * `--store <dir>` — durable result store (created if absent): every
 //!   untraced simulation point is first looked up in `<dir>` and, on a
 //!   miss, persisted after simulating, so a second run — even from a
@@ -515,8 +515,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Machine source: an explicit --machines directory must load; the
     // shipped scenarios/ directory is used when present; otherwise the
-    // compiled-in constructors. The twins are bit-identical by test, so the
-    // choice never changes results — only who defines them.
+    // same files as compiled into the binary. Unedited, all three are the
+    // same machines, so the choice never changes results.
     let machines = match &opts.machines {
         Some(dir) => Machines::from_dir(dir).map_err(|e| e.to_string())?,
         None => Machines::load(std::path::Path::new("scenarios")).map_err(|e| e.to_string())?,

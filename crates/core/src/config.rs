@@ -389,32 +389,26 @@ impl SystemConfig {
 
 #[cfg(test)]
 mod tests {
-    use crate::configs;
+    use crate::scenario::Machines;
 
     #[test]
     fn named_configs_validate() {
-        for cfg in [
-            configs::cfg_2d(),
-            configs::cfg_3d(),
-            configs::cfg_3d_wide(),
-            configs::cfg_3d_fast(),
-            configs::cfg_aggressive(2, 8, 4),
-            configs::cfg_aggressive(4, 16, 4),
-        ] {
+        let m = Machines::builtin();
+        for cfg in [m.m2d, m.m3d, m.m3d_wide, m.m3d_fast, m.dual_mc, m.quad_mc] {
             cfg.validate().expect("named configuration must validate");
         }
     }
 
     #[test]
     fn misaligned_mcs_rejected() {
-        let mut cfg = configs::cfg_3d_fast();
+        let mut cfg = Machines::builtin().m3d_fast;
         cfg.memory.mcs = 3; // 8 ranks % 3 != 0
         assert!(cfg.validate().is_err());
     }
 
     #[test]
     fn mshr_division_checked() {
-        let mut cfg = configs::cfg_aggressive(4, 16, 1);
+        let mut cfg = Machines::builtin().aggressive(4, 16, 1);
         cfg.mshr.total_entries = 6; // not divisible by 4
         assert!(cfg.validate().is_err());
         cfg.mshr.total_entries = 0;
@@ -423,24 +417,24 @@ mod tests {
 
     #[test]
     fn degenerate_dram_parameters_rejected() {
-        let mut cfg = configs::cfg_2d();
+        let mut cfg = Machines::builtin().m2d;
         cfg.memory.row_buffer_entries = 0;
         assert!(cfg.validate().is_err());
-        let mut cfg = configs::cfg_2d();
+        let mut cfg = Machines::builtin().m2d;
         cfg.memory.refresh.period_ms = Some(0.0);
         assert!(cfg.validate().is_err());
-        let mut cfg = configs::cfg_2d();
+        let mut cfg = Machines::builtin().m2d;
         // A period this short rounds to zero cycles per row.
         cfg.memory.refresh.period_ms = Some(1e-9);
         assert!(cfg.validate().is_err());
-        let mut cfg = configs::cfg_2d();
+        let mut cfg = Machines::builtin().m2d;
         cfg.core_hz = 0.0;
         assert!(cfg.validate().is_err());
     }
 
     #[test]
     fn scaling_helpers() {
-        let cfg = configs::cfg_aggressive(4, 16, 4);
+        let cfg = Machines::builtin().quad_mc;
         assert_eq!(
             cfg.with_mshr_scale(8).mshr.total_entries,
             cfg.mshr.total_entries * 8
@@ -454,7 +448,7 @@ mod tests {
 
     #[test]
     fn extra_l2_keeps_whole_sets() {
-        let cfg = configs::cfg_3d_fast().with_extra_l2(1 << 20);
+        let cfg = Machines::builtin().m3d_fast.with_extra_l2(1 << 20);
         // Per-bank capacity must still be a whole number of sets.
         let per_bank = cfg.l2.size_bytes / cfg.l2_banks as u64;
         assert_eq!(per_bank % (64 * cfg.l2.associativity as u64), 0);

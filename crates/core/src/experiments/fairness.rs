@@ -132,7 +132,6 @@ pub fn fairness_table(rows: &[FairnessRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::configs;
     use crate::experiments::session;
 
     #[test]
@@ -145,7 +144,7 @@ mod tests {
         };
         let mixes = [Mix::by_name("HM3").unwrap()];
         let session = session();
-        let rows = fairness(&session, &configs::cfg_3d_fast(), &run, &mixes).unwrap();
+        let rows = fairness(&session, &session.machines().m3d_fast, &run, &mixes).unwrap();
         let r = &rows[0];
         assert_eq!(r.slowdowns.len(), 4);
         // Weighted speedup is bounded by the program count and positive.
@@ -175,8 +174,8 @@ mod tests {
         };
         let mixes = [Mix::by_name("VH3").unwrap()];
         let session = session();
-        let slow = fairness(&session, &configs::cfg_2d(), &run, &mixes).unwrap();
-        let fast = fairness(&session, &configs::cfg_quad_mc(), &run, &mixes).unwrap();
+        let slow = fairness(&session, &session.machines().m2d, &run, &mixes).unwrap();
+        let fast = fairness(&session, &session.machines().quad_mc, &run, &mixes).unwrap();
         assert!(
             fast[0].weighted_speedup > slow[0].weighted_speedup,
             "quad {:.2} must beat 2d {:.2}",

@@ -10,8 +10,6 @@ use crate::config::SystemConfig;
 use crate::runner::{RunConfig, RunPoint, Session};
 
 use super::{gm_all, gm_memory_intensive};
-#[cfg(test)]
-use crate::configs;
 
 /// One MSHR sizing variant of the sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,8 +111,9 @@ impl Figure7Result {
     }
 }
 
-/// Runs the Figure 7 sweep on `base` (use [`crate::configs::cfg_dual_mc`]
-/// for (a) and [`crate::configs::cfg_quad_mc`] for (b)).
+/// Runs the Figure 7 sweep on `base` (the session's
+/// [`dual_mc`](crate::scenario::Machines::dual_mc) machine for (a) and
+/// [`quad_mc`](crate::scenario::Machines::quad_mc) for (b)).
 ///
 /// # Errors
 ///
@@ -189,10 +188,11 @@ pub fn figure7(
 mod tests {
     use super::*;
     use crate::experiments::session;
+    use crate::scenario::Machines;
 
     #[test]
     fn bigger_mshrs_help_stream_mixes() {
-        let base = configs::cfg_quad_mc();
+        let base = Machines::builtin().quad_mc;
         let mixes = [Mix::by_name("VH3").unwrap()];
         let run = RunConfig {
             warmup_cycles: 10_000,
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn dynamic_stays_close_to_best_static() {
-        let base = configs::cfg_dual_mc();
+        let base = Machines::builtin().dual_mc;
         let mixes = [Mix::by_name("VH2").unwrap()];
         let r = figure7(&session(), &base, &RunConfig::quick(), &mixes).unwrap();
         let row = &r.rows[0];

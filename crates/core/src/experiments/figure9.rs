@@ -111,8 +111,9 @@ impl Figure9Result {
     }
 }
 
-/// Runs the Figure 9 experiment on `base` (use [`crate::configs::cfg_dual_mc`]
-/// for (a) and [`crate::configs::cfg_quad_mc`] for (b)).
+/// Runs the Figure 9 experiment on `base` (the session's
+/// [`dual_mc`](crate::scenario::Machines::dual_mc) machine for (a) and
+/// [`quad_mc`](crate::scenario::Machines::quad_mc) for (b)).
 ///
 /// # Errors
 ///
@@ -199,12 +200,12 @@ pub fn figure9(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::configs;
     use crate::experiments::session;
+    use crate::scenario::Machines;
 
     #[test]
     fn vbf_tracks_the_ideal_cam() {
-        let base = configs::cfg_quad_mc();
+        let base = Machines::builtin().quad_mc;
         let mixes = [Mix::by_name("VH1").unwrap()];
         let r = figure9(&session(), &base, &RunConfig::quick(), &mixes).unwrap();
         let row = &r.rows[0];
@@ -226,7 +227,7 @@ mod tests {
 
     #[test]
     fn table_mentions_probe_statistic() {
-        let base = configs::cfg_dual_mc();
+        let base = Machines::builtin().dual_mc;
         let mixes = [Mix::by_name("VH2").unwrap()];
         let r = figure9(&session(), &base, &RunConfig::quick(), &mixes).unwrap();
         let s = r.table().to_string();

@@ -7,9 +7,9 @@
 //! memory controllers (`stacksim-memctrl`) and a DRAM device model
 //! (`stacksim-dram`) — into the paper's quad-core machine, and provides:
 //!
-//! * [`SystemConfig`] plus the named paper configurations in [`configs`]
-//!   (2D → 3D → 3D-wide → 3D-fast → aggressive rank/MC/row-buffer
-//!   organizations);
+//! * [`SystemConfig`], and the paper's named machines as scenario files
+//!   ([`scenario::Machines`]: 2D → 3D → 3D-wide → 3D-fast → aggressive
+//!   rank/MC/row-buffer organizations);
 //! * [`System`], the cycle-driven machine model;
 //! * [`runner`], the warmup + measure harness producing per-core IPC and
 //!   HMIPC exactly as the paper's methodology prescribes (§2.4), plus the
@@ -24,11 +24,11 @@
 //! # Quickstart
 //!
 //! ```no_run
-//! use stacksim::configs;
 //! use stacksim::runner::{run_mix, RunConfig};
+//! use stacksim::scenario::Machines;
 //! use stacksim_workload::Mix;
 //!
-//! let cfg = configs::cfg_3d_fast();
+//! let cfg = Machines::builtin().m3d_fast;
 //! let mix = Mix::by_name("H1").unwrap();
 //! let result = run_mix(&cfg, mix, &RunConfig::default()).unwrap();
 //! println!("H1 on 3D-fast: HMIPC {:.3}", result.hmipc);
@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod configs;
 pub mod experiments;
 pub mod report;
 pub mod runner;
@@ -47,6 +46,7 @@ mod system;
 pub mod trace;
 
 pub use config::{InterconnectConfig, MemorySystemConfig, MshrSystemConfig, SystemConfig};
+pub use scenario::CORE_HZ;
 pub use system::System;
 
 /// Version stamp of the simulation code, mixed into every durable result

@@ -148,7 +148,7 @@ pub fn compare_configs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::configs;
+    use crate::scenario::Machines;
 
     #[test]
     fn csv_quotes_special_cells() {
@@ -171,12 +171,8 @@ mod tests {
             ..RunConfig::default()
         };
         let mixes = [Mix::by_name("HM3").unwrap()];
-        let cmp = compare_configs(
-            &[("2d", configs::cfg_2d()), ("quad", configs::cfg_quad_mc())],
-            &mixes,
-            &run,
-        )
-        .unwrap();
+        let m = Machines::builtin();
+        let cmp = compare_configs(&[("2d", m.m2d), ("quad", m.quad_mc)], &mixes, &run).unwrap();
         assert_eq!(cmp.labels, ["2d", "quad"]);
         assert_eq!(cmp.rows.len(), 1);
         let (_, values) = &cmp.rows[0];

@@ -166,14 +166,15 @@ impl RunResult {
     /// # Examples
     ///
     /// ```no_run
-    /// use stacksim::configs;
+    /// use stacksim::scenario::Machines;
     /// use stacksim::runner::{run_mix, RunConfig};
     /// use stacksim_workload::Mix;
     ///
     /// let run = RunConfig::quick();
     /// let mix = Mix::by_name("VH1").unwrap();
-    /// let base = run_mix(&configs::cfg_2d(), mix, &run).unwrap();
-    /// let fast = run_mix(&configs::cfg_3d_fast(), mix, &run).unwrap();
+    /// let machines = Machines::builtin();
+    /// let base = run_mix(&machines.m2d, mix, &run).unwrap();
+    /// let fast = run_mix(&machines.m3d_fast, mix, &run).unwrap();
     /// let speedup = fast.speedup_over(&base).unwrap();
     /// assert!(speedup > 1.0);
     /// ```
@@ -620,11 +621,11 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::configs;
+    use crate::scenario::Machines;
 
     #[test]
     fn moderate_mix_outruns_stream_mix() {
-        let cfg = configs::cfg_2d();
+        let cfg = Machines::builtin().m2d;
         let run = RunConfig::quick();
         let m1 = run_mix(&cfg, Mix::by_name("M1").unwrap(), &run).unwrap();
         let vh1 = run_mix(&cfg, Mix::by_name("VH1").unwrap(), &run).unwrap();
@@ -638,7 +639,7 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let cfg = configs::cfg_3d_fast();
+        let cfg = Machines::builtin().m3d_fast;
         let run = RunConfig::quick();
         let a = run_mix(&cfg, Mix::by_name("H2").unwrap(), &run).unwrap();
         let b = run_mix(&cfg, Mix::by_name("H2").unwrap(), &run).unwrap();
@@ -650,8 +651,9 @@ mod tests {
     fn speedup_over_baseline() {
         let run = RunConfig::quick();
         let mix = Mix::by_name("VH2").unwrap();
-        let base = run_mix(&configs::cfg_2d(), mix, &run).unwrap();
-        let fast = run_mix(&configs::cfg_3d_fast(), mix, &run).unwrap();
+        let machines = Machines::builtin();
+        let base = run_mix(&machines.m2d, mix, &run).unwrap();
+        let fast = run_mix(&machines.m3d_fast, mix, &run).unwrap();
         let s = fast.speedup_over(&base).unwrap();
         assert!(s > 1.2, "3D-fast should clearly beat 2D on streams: {s}");
     }
@@ -659,8 +661,9 @@ mod tests {
     #[test]
     fn speedup_requires_same_mix() {
         let run = RunConfig::quick();
-        let a = run_mix(&configs::cfg_2d(), Mix::by_name("M1").unwrap(), &run).unwrap();
-        let b = run_mix(&configs::cfg_2d(), Mix::by_name("M2").unwrap(), &run).unwrap();
+        let cfg = Machines::builtin().m2d;
+        let a = run_mix(&cfg, Mix::by_name("M1").unwrap(), &run).unwrap();
+        let b = run_mix(&cfg, Mix::by_name("M2").unwrap(), &run).unwrap();
         let err = a.speedup_over(&b).unwrap_err();
         assert_eq!(
             err,
@@ -676,7 +679,7 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced_run() {
-        let cfg = configs::cfg_3d_fast();
+        let cfg = Machines::builtin().m3d_fast;
         let mix = Mix::by_name("H2").unwrap();
         let plain_cfg = RunConfig::quick();
         let traced_cfg = RunConfig::quick().with_trace(crate::trace::TraceConfig::all());
@@ -714,7 +717,7 @@ mod tests {
                 c.fetch_add(1, Ordering::Relaxed);
                 t.store(total, Ordering::Relaxed);
             }));
-        let cfg = configs::cfg_2d();
+        let cfg = Machines::builtin().m2d;
         let run = RunConfig::quick();
         let points: Vec<RunPoint> = ["M1", "M2"]
             .iter()

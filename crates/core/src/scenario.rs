@@ -10,10 +10,11 @@
 //! a typed [`ScenarioError`] naming the offending key.
 //!
 //! Every omitted key takes the paper's 2D baseline value, so the shipped
-//! `scenarios/2d.json` is an (almost) empty machine object and each other
-//! file states exactly what it changes — the same delta structure as the
-//! [`configs`](crate::configs) constructors, which remain as golden twins
-//! cross-checked by test.
+//! `scenarios/2d.json` is an empty machine object and each other file
+//! states exactly what it changes. The shipped files are the only
+//! definition of the paper's machines: they are embedded at compile time
+//! ([`SHIPPED`]), and [`Machines::builtin`] parses them through the same
+//! loader that [`Machines::from_dir`] uses for a scenario directory.
 //!
 //! The full schema — key-by-key types, units, defaults and validation
 //! rules — is documented in `docs/SCENARIOS.md`, which simlint cross-checks
@@ -30,7 +31,7 @@
 //!     "machine": {}
 //! }"#)
 //! .unwrap();
-//! assert_eq!(two_d.config, stacksim::configs::cfg_2d());
+//! assert_eq!(two_d.config, stacksim::scenario::Machines::builtin().m2d);
 //! ```
 
 use std::fmt;
@@ -48,7 +49,9 @@ use stacksim_types::{
 use stacksim_vm::TlbConfig;
 
 use crate::config::{InterconnectConfig, MemorySystemConfig, MshrSystemConfig, SystemConfig};
-use crate::configs::CORE_HZ;
+
+/// Core clock of the Table 1 machine, Hz: the `machine.core_hz` default.
+pub const CORE_HZ: f64 = 3.333e9;
 
 /// Every key path the scenario parser accepts, in schema order.
 ///
@@ -188,12 +191,12 @@ impl std::error::Error for ScenarioError {}
 /// # Examples
 ///
 /// ```
-/// use stacksim::scenario::ScenarioHash;
+/// use stacksim::scenario::{Machines, ScenarioHash};
 ///
-/// let a = ScenarioHash::of(&stacksim::configs::cfg_3d());
-/// let b = ScenarioHash::of(&stacksim::configs::cfg_3d());
+/// let a = ScenarioHash::of(&Machines::builtin().m3d);
+/// let b = ScenarioHash::of(&Machines::builtin().m3d);
 /// assert_eq!(a, b);
-/// assert_ne!(a, ScenarioHash::of(&stacksim::configs::cfg_2d()));
+/// assert_ne!(a, ScenarioHash::of(&Machines::builtin().m2d));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ScenarioHash(u64);
@@ -369,28 +372,48 @@ impl Scenario {
     }
 }
 
-/// The six named machines every experiment driver draws from, resolvable
-/// either from the built-in constructors ([`configs`](crate::configs)) or
-/// from the shipped scenario files — the two are golden twins, cross-checked
-/// bit-identical by test.
+/// Embeds each named file under `scenarios/` as `(file name, contents)`.
+macro_rules! shipped {
+    ($($file:literal),* $(,)?) => {
+        &[$(($file, include_str!(concat!("../../../scenarios/", $file)))),*]
+    };
+}
+
+/// Every scenario file shipped under `scenarios/`, embedded at compile time
+/// as `(file name, contents)`: the six [`MACHINE_FILES`] first, then the
+/// beyond-quad-core topologies.
+pub const SHIPPED: &[(&str, &str)] = shipped![
+    "2d.json",
+    "3d.json",
+    "3d-wide.json",
+    "3d-fast.json",
+    "dual-mc.json",
+    "quad-mc.json",
+    "8core-dual-stack.json",
+    "16core-dual-stack.json",
+];
+
+/// The six named machines every experiment driver draws from: Table 1's
+/// 2D baseline, Figure 4's 3D progression and §4's dual- and quad-MC
+/// organizations, each parsed from its scenario file ([`MACHINE_FILES`]).
 ///
 /// Experiment drivers read their machines from the
-/// [`Session`](crate::runner::Session) they are given instead of calling
-/// the constructors, so `reproduce` (and anything else) can re-point the
-/// whole evaluation at an edited scenario directory without recompiling.
+/// [`Session`](crate::runner::Session) they are given, so `reproduce` (and
+/// anything else) can re-point the whole evaluation at an edited scenario
+/// directory without recompiling.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Machines {
-    /// Off-chip 2D baseline (`scenarios/2d.json`, [`configs::cfg_2d`](crate::configs::cfg_2d)).
+    /// Off-chip 2D baseline (`scenarios/2d.json`).
     pub m2d: SystemConfig,
-    /// Simple on-stack 3D (`scenarios/3d.json`, [`configs::cfg_3d`](crate::configs::cfg_3d)).
+    /// Simple on-stack 3D (`scenarios/3d.json`).
     pub m3d: SystemConfig,
-    /// 3D with a 64-byte bus (`scenarios/3d-wide.json`, [`configs::cfg_3d_wide`](crate::configs::cfg_3d_wide)).
+    /// 3D with a 64-byte bus (`scenarios/3d-wide.json`).
     pub m3d_wide: SystemConfig,
-    /// True-3D arrays (`scenarios/3d-fast.json`, [`configs::cfg_3d_fast`](crate::configs::cfg_3d_fast)).
+    /// True-3D arrays (`scenarios/3d-fast.json`).
     pub m3d_fast: SystemConfig,
-    /// Aggressive dual-MC machine (`scenarios/dual-mc.json`, [`configs::cfg_dual_mc`](crate::configs::cfg_dual_mc)).
+    /// Aggressive dual-MC machine (`scenarios/dual-mc.json`).
     pub dual_mc: SystemConfig,
-    /// Aggressive quad-MC machine (`scenarios/quad-mc.json`, [`configs::cfg_quad_mc`](crate::configs::cfg_quad_mc)).
+    /// Aggressive quad-MC machine (`scenarios/quad-mc.json`).
     pub quad_mc: SystemConfig,
 }
 
@@ -405,16 +428,18 @@ pub const MACHINE_FILES: &[&str] = &[
 ];
 
 impl Machines {
-    /// The compiled-in constructors (exactly Table 1 and §4).
+    /// The six machines parsed from the embedded [`SHIPPED`] files.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shipped file fails to parse or validate, which the
+    /// scenario tests rule out for the files compiled in.
     pub fn builtin() -> Machines {
-        Machines {
-            m2d: crate::configs::cfg_2d(),
-            m3d: crate::configs::cfg_3d(),
-            m3d_wide: crate::configs::cfg_3d_wide(),
-            m3d_fast: crate::configs::cfg_3d_fast(),
-            dual_mc: crate::configs::cfg_dual_mc(),
-            quad_mc: crate::configs::cfg_quad_mc(),
-        }
+        Machines::assemble(|file| {
+            let shipped = SHIPPED.iter().find(|(name, _)| *name == file);
+            Scenario::from_str(shipped.map_or("", |&(_, text)| text))
+        })
+        .expect("the shipped scenario files parse and validate") // simlint::allow(P002, reason = "compiled-in files, each parsed and validated by tests/scenarios.rs")
     }
 
     /// Loads all six machines from their [`MACHINE_FILES`] in `dir`.
@@ -423,21 +448,30 @@ impl Machines {
     ///
     /// Returns the first [`ScenarioError`] from any of the six files.
     pub fn from_dir(dir: &Path) -> Result<Machines, ScenarioError> {
-        let load = |file: &str| Scenario::from_path(&dir.join(file)).map(|s| s.config);
+        Machines::assemble(|file| Scenario::from_path(&dir.join(file)))
+    }
+
+    /// The one loader behind [`Machines::builtin`] and
+    /// [`Machines::from_dir`]: `load` turns each of the [`MACHINE_FILES`]
+    /// into its scenario.
+    fn assemble(
+        load: impl Fn(&str) -> Result<Scenario, ScenarioError>,
+    ) -> Result<Machines, ScenarioError> {
+        let config = |file: &str| load(file).map(|s| s.config);
         Ok(Machines {
-            m2d: load("2d.json")?,
-            m3d: load("3d.json")?,
-            m3d_wide: load("3d-wide.json")?,
-            m3d_fast: load("3d-fast.json")?,
-            dual_mc: load("dual-mc.json")?,
-            quad_mc: load("quad-mc.json")?,
+            m2d: config("2d.json")?,
+            m3d: config("3d.json")?,
+            m3d_wide: config("3d-wide.json")?,
+            m3d_fast: config("3d-fast.json")?,
+            dual_mc: config("dual-mc.json")?,
+            quad_mc: config("quad-mc.json")?,
         })
     }
 
     /// [`Machines::from_dir`] when `dir` holds a scenario set (detected by
-    /// the presence of `2d.json`), the built-in constructors otherwise.
-    /// A present-but-broken scenario set is a hard error, never a silent
-    /// fallback.
+    /// the presence of `2d.json`), the embedded [`Machines::builtin`] set
+    /// otherwise. A present-but-broken scenario set is a hard error, never
+    /// a silent fallback.
     ///
     /// # Errors
     ///
@@ -451,12 +485,28 @@ impl Machines {
         }
     }
 
-    /// The §4 aggressive reorganization (`mcs` MCs over `ranks` ranks with
-    /// `row_buffer_entries` row buffers per bank, page-interleaved L2)
-    /// derived from this set's `3d-fast` machine — the scenario-aware
-    /// counterpart of [`configs::cfg_aggressive`](crate::configs::cfg_aggressive).
+    /// The paper's aggressive §4 organizations on top of this set's
+    /// `3d-fast` machine: `mcs` banked memory controllers over `ranks`
+    /// ranks with `row_buffer_entries` row buffers per bank, the L2
+    /// re-banked at page granularity so each L2 bank feeds exactly one MC,
+    /// and the L2 MSHRs banked alongside (Figure 5).
+    ///
+    /// The result is not validated here: the runner and
+    /// [`System`](crate::System) reject an inconsistent shape (`ranks` not
+    /// divisible by `mcs`, say) with a typed error, and
+    /// [`SystemConfig::validate`] checks it up front.
     pub fn aggressive(&self, mcs: u16, ranks: u16, row_buffer_entries: usize) -> SystemConfig {
-        crate::configs::aggressive_from(&self.m3d_fast, mcs, ranks, row_buffer_entries)
+        let mut cfg = self.m3d_fast.clone();
+        cfg.memory.mcs = mcs;
+        cfg.memory.ranks = ranks;
+        cfg.memory.row_buffer_entries = row_buffer_entries;
+        cfg.l2_interleave = InterleaveGranularity::Page;
+        // Keep the aggregate MSHR capacity of the baseline; it is banked
+        // across MCs. Section 5 then scales it.
+        if !cfg.mshr.total_entries.is_multiple_of(mcs as usize) {
+            cfg.mshr.total_entries = mcs as usize * cfg.mshr.total_entries.div_ceil(mcs as usize);
+        }
+        cfg
     }
 }
 
@@ -576,9 +626,8 @@ fn named<T: Copy>(v: &Json, key: &str, options: &[(&str, T)]) -> Result<T, Scena
 }
 
 // ---------------------------------------------------------------------------
-// Section parsers. Every default is the paper's 2D baseline
-// ([`configs::cfg_2d`](crate::configs::cfg_2d)), pinned by the golden-twin
-// tests against the constructors.
+// Section parsers. Every default is the paper's 2D baseline (Table 1), so
+// `scenarios/2d.json` states no key at all.
 
 fn parse_machine(m: &[(String, Json)]) -> Result<SystemConfig, ScenarioError> {
     check_keys(m, "machine", "machine")?;
@@ -1092,7 +1141,6 @@ fn parse_memory(m: &[(String, Json)]) -> Result<MemorySystemConfig, ScenarioErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::configs;
 
     fn scenario(machine: &str) -> Result<Scenario, ScenarioError> {
         Scenario::from_str(&format!(
@@ -1116,7 +1164,32 @@ mod tests {
 
     #[test]
     fn empty_machine_is_the_2d_baseline() {
-        assert_eq!(scenario("{}").unwrap().config, configs::cfg_2d());
+        // Every default is Table 1's off-chip baseline.
+        let s = scenario("{}").unwrap();
+        let cfg = &s.config;
+        assert_eq!((cfg.cores, cfg.core_hz), (4, CORE_HZ));
+        assert_eq!(cfg.core, CoreConfig::penryn());
+        assert_eq!(cfg.l2, CacheConfig::dl2_penryn());
+        assert_eq!((cfg.l2_banks, cfg.l2_latency), (16, Cycles::new(9)));
+        assert_eq!(cfg.l2_interleave, InterleaveGranularity::Line);
+        assert_eq!((cfg.mshr.kind, cfg.mshr.total_entries), (MshrKind::Cam, 8));
+        assert_eq!(cfg.vm, Some(TlbConfig::dtlb_penryn()));
+        let mem = &cfg.memory;
+        assert_eq!(mem.kind, MemoryKind::OffChip2D);
+        assert_eq!((mem.mcs, mem.ranks, mem.banks_per_rank), (1, 8, 8));
+        assert_eq!(mem.row_buffer_entries, 1);
+        assert_eq!(mem.timing, DramTiming::COMMODITY_2D);
+        assert_eq!(mem.refresh, RefreshConfig::OFF_CHIP);
+        // A 64-bit FSB at 1.66 GT/s and an 833 MHz MC under a 3.333 GHz core.
+        assert_eq!(mem.bus_width_bytes, 8);
+        assert_eq!((mem.bus_clock_divisor, mem.mc_clock_divisor), (2, 4));
+        // The 12 ns package/PCB path to off-chip memory.
+        assert_eq!(mem.path_latency, Cycles::from_ns(12.0, CORE_HZ));
+        // `scenarios/2d.json` is that empty machine, hash and all.
+        let machines = Machines::builtin();
+        assert_eq!(*cfg, machines.m2d);
+        assert_eq!(s.hash(), ScenarioHash::of(&machines.m2d));
+        assert_ne!(s.hash(), ScenarioHash::of(&machines.m3d));
     }
 
     #[test]
@@ -1261,13 +1334,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_matches_constructor_twin() {
-        let s = scenario(r#"{}"#).unwrap();
-        assert_eq!(s.hash(), ScenarioHash::of(&configs::cfg_2d()));
-        assert_ne!(s.hash(), ScenarioHash::of(&configs::cfg_3d()));
-    }
-
-    #[test]
     fn accepted_keys_cover_the_parser() {
         // Setting every leaf key must parse (spot the table drifting from
         // the parser in the accept direction).
@@ -1324,6 +1390,66 @@ mod tests {
     fn refresh_null_disables_refresh() {
         let s = scenario(r#"{"memory": {"refresh_ms": null}}"#).unwrap();
         assert_eq!(s.config.memory.refresh, RefreshConfig::DISABLED);
+    }
+
+    #[test]
+    fn figure4_progression_changes_one_axis_at_a_time() {
+        let m = Machines::builtin();
+        let (d2, d3, wide, fast) = (
+            &m.m2d.memory,
+            &m.m3d.memory,
+            &m.m3d_wide.memory,
+            &m.m3d_fast.memory,
+        );
+        // 2D -> 3D: clocking and locality change, arrays do not.
+        assert_eq!(d2.timing, d3.timing);
+        assert_eq!(d2.bus_width_bytes, d3.bus_width_bytes);
+        assert!(d3.path_latency < d2.path_latency);
+        assert_eq!(d3.mc_clock_divisor, 1);
+        // 3D -> wide: only the bus widens.
+        assert_eq!(wide.bus_width_bytes, 64);
+        assert_eq!(wide.timing, d3.timing);
+        // wide -> fast: only the array timing accelerates.
+        assert_eq!(fast.bus_width_bytes, 64);
+        assert_eq!(fast.timing, DramTiming::TRUE_3D);
+    }
+
+    #[test]
+    fn stacked_refresh_is_faster() {
+        let m = Machines::builtin();
+        assert_eq!(m.m2d.memory.refresh, RefreshConfig::OFF_CHIP);
+        assert_eq!(m.m3d.memory.refresh, RefreshConfig::ON_STACK);
+    }
+
+    #[test]
+    fn aggressive_configs_use_page_interleave() {
+        let m = Machines::builtin();
+        let cfg = &m.quad_mc;
+        assert_eq!(cfg.l2_interleave, InterleaveGranularity::Page);
+        assert_eq!(cfg.memory.mcs, 4);
+        assert_eq!(cfg.memory.ranks, 16);
+        assert_eq!(cfg.memory.row_buffer_entries, 4);
+        assert_eq!(
+            m.aggressive(2, 8, 1).l2_interleave,
+            InterleaveGranularity::Page
+        );
+        // The baseline keeps the commodity line interleave.
+        assert_eq!(m.m3d_fast.l2_interleave, InterleaveGranularity::Line);
+    }
+
+    #[test]
+    fn highlighted_configs_match_figure6b() {
+        let m = Machines::builtin();
+        assert_eq!((m.dual_mc.memory.mcs, m.dual_mc.memory.ranks), (2, 8));
+        assert_eq!((m.quad_mc.memory.mcs, m.quad_mc.memory.ranks), (4, 16));
+        // Figure 6(b)'s grid, the headline and the ablations share memo
+        // points through this equality: the highlighted machines *are*
+        // the grid's (2, 8, 4) and (4, 16, 4) cells.
+        for (cfg, (mcs, ranks)) in [(&m.dual_mc, (2, 8)), (&m.quad_mc, (4, 16))] {
+            let grid = m.aggressive(mcs, ranks, 4);
+            assert_eq!(*cfg, grid);
+            assert_eq!(ScenarioHash::of(cfg), ScenarioHash::of(&grid));
+        }
     }
 
     #[test]

@@ -1345,7 +1345,7 @@ fn make_mshr(kind: MshrKind, entries: usize) -> Box<dyn MissHandler> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::configs;
+    use crate::scenario::Machines;
     use stacksim_workload::Instr;
 
     /// A scripted generator usable from system tests.
@@ -1379,7 +1379,7 @@ mod tests {
 
     #[test]
     fn compute_only_mix_runs_at_pipeline_speed() {
-        let cfg = configs::cfg_2d();
+        let cfg = Machines::builtin().m2d;
         let gens = generators_of(vec![Instr::Compute], 4);
         let mut sys = System::with_generators(&cfg, gens).unwrap();
         sys.run_cycles(1000);
@@ -1391,7 +1391,7 @@ mod tests {
 
     #[test]
     fn memory_traffic_flows_end_to_end() {
-        let cfg = configs::cfg_3d_fast();
+        let cfg = Machines::builtin().m3d_fast;
         // Every core streams over disjoint lines.
         let gens: Vec<Box<dyn TraceGenerator>> = (0..4)
             .map(|c| {
@@ -1418,7 +1418,7 @@ mod tests {
 
     #[test]
     fn mix_construction_and_progress() {
-        let cfg = configs::cfg_3d_fast();
+        let cfg = Machines::builtin().m3d_fast;
         let mix = Mix::by_name("VH2").unwrap();
         let mut sys = System::for_mix(&cfg, mix, 1).unwrap();
         sys.run_cycles(10_000);
@@ -1431,8 +1431,8 @@ mod tests {
     #[test]
     fn faster_memory_means_more_progress() {
         let mix = Mix::by_name("VH1").unwrap();
-        let mut slow = System::for_mix(&configs::cfg_2d(), mix, 1).unwrap();
-        let mut fast = System::for_mix(&configs::cfg_3d_fast(), mix, 1).unwrap();
+        let mut slow = System::for_mix(&Machines::builtin().m2d, mix, 1).unwrap();
+        let mut fast = System::for_mix(&Machines::builtin().m3d_fast, mix, 1).unwrap();
         slow.run_cycles(30_000);
         fast.run_cycles(30_000);
         assert!(
@@ -1445,7 +1445,7 @@ mod tests {
 
     #[test]
     fn quad_mc_spreads_traffic_across_controllers() {
-        let cfg = configs::cfg_quad_mc();
+        let cfg = Machines::builtin().quad_mc;
         let mix = Mix::by_name("VH1").unwrap();
         let mut sys = System::for_mix(&cfg, mix, 1).unwrap();
         sys.run_cycles(20_000);
@@ -1461,7 +1461,7 @@ mod tests {
     #[test]
     fn vbf_mshr_system_matches_cam_semantics() {
         let mix = Mix::by_name("H1").unwrap();
-        let cam = configs::cfg_dual_mc();
+        let cam = Machines::builtin().dual_mc;
         let vbf = cam.with_mshr_kind(MshrKind::Vbf);
         let mut sys_cam = System::for_mix(&cam, mix, 5).unwrap();
         let mut sys_vbf = System::for_mix(&vbf, mix, 5).unwrap();
@@ -1479,14 +1479,14 @@ mod tests {
 
     #[test]
     fn generator_count_is_validated() {
-        let cfg = configs::cfg_2d();
+        let cfg = Machines::builtin().m2d;
         let gens = generators_of(vec![Instr::Compute], 3);
         assert!(System::with_generators(&cfg, gens).is_err());
     }
 
     #[test]
     fn stats_record_is_comprehensive() {
-        let cfg = configs::cfg_3d_fast();
+        let cfg = Machines::builtin().m3d_fast;
         let mix = Mix::by_name("M1").unwrap();
         let mut sys = System::for_mix(&cfg, mix, 2).unwrap();
         sys.run_cycles(5_000);
@@ -1505,7 +1505,7 @@ mod tests {
     #[test]
     fn device_event_counts_are_typed_counters() {
         use stacksim_stats::MetricValue;
-        let cfg = configs::cfg_3d_fast();
+        let cfg = Machines::builtin().m3d_fast;
         let mix = Mix::by_name("H1").unwrap();
         let mut sys = System::for_mix(&cfg, mix, 2).unwrap();
         sys.run_cycles(5_000);
@@ -1533,7 +1533,7 @@ mod tests {
 
     #[test]
     fn tracing_records_streams_without_changing_behaviour() {
-        let cfg = configs::cfg_3d_fast();
+        let cfg = Machines::builtin().m3d_fast;
         let mix = Mix::by_name("VH1").unwrap();
         let mut plain = System::for_mix(&cfg, mix, 1).unwrap();
         let mut traced = System::for_mix(&cfg, mix, 1).unwrap();
@@ -1574,7 +1574,8 @@ mod tests {
     #[test]
     fn dynamic_tuner_adjusts_limits() {
         use stacksim_mshr::TunerConfig;
-        let cfg = configs::cfg_dual_mc()
+        let cfg = Machines::builtin()
+            .dual_mc
             .with_mshr_scale(8)
             .with_dynamic_mshr(TunerConfig {
                 sample_cycles: 500,
@@ -1592,17 +1593,18 @@ mod tests {
 #[cfg(test)]
 mod debug_tests {
     use super::*;
-    use crate::configs;
+    use crate::scenario::Machines;
 
     #[test]
     #[ignore = "diagnostic"]
     fn skip_veto_probe() {
+        let m = Machines::builtin();
         let probes: Vec<(&str, SystemConfig, &str)> = vec![
-            ("2d/VH1", configs::cfg_2d(), "VH1"),
-            ("3dfast/VH1", configs::cfg_3d_fast(), "VH1"),
-            ("quad/VH1", configs::cfg_quad_mc(), "VH1"),
-            ("quad/H2", configs::cfg_quad_mc(), "H2"),
-            ("dual/HM1", configs::cfg_dual_mc(), "HM1"),
+            ("2d/VH1", m.m2d, "VH1"),
+            ("3dfast/VH1", m.m3d_fast, "VH1"),
+            ("quad/VH1", m.quad_mc.clone(), "VH1"),
+            ("quad/H2", m.quad_mc, "H2"),
+            ("dual/HM1", m.dual_mc, "HM1"),
         ];
         for (label, cfg, mix_name) in probes {
             let mix = Mix::by_name(mix_name).unwrap();
@@ -1645,7 +1647,7 @@ mod debug_tests {
     #[test]
     #[ignore = "diagnostic"]
     fn timeline_probe() {
-        let cfg = configs::cfg_3d_fast();
+        let cfg = Machines::builtin().m3d_fast;
         let mix = Mix::by_name("VH1").unwrap();
         let mut sys = System::for_mix(&cfg, mix, 1).unwrap();
         for step in 0..60 {

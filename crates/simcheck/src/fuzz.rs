@@ -25,7 +25,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use stacksim::config::SystemConfig;
 use stacksim::runner::{run_mix, RunConfig, RunResult};
-use stacksim::scenario::Scenario;
+use stacksim::scenario::{Machines, Scenario, SHIPPED};
 use stacksim::trace::TraceConfig;
 use stacksim_dram::PagePolicy;
 use stacksim_mshr::MshrKind;
@@ -94,23 +94,6 @@ impl fmt::Display for FuzzFailure {
     }
 }
 
-/// The shipped scenario files the generator samples base machines from,
-/// embedded at compile time. Sampling through the scenario frontend (rather
-/// than the `configs` constructors) puts the render → parse → validate →
-/// build path itself under the fuzzer, and folds the beyond-quad-core
-/// topologies (multiple stacks, heterogeneous cores, interconnect hops)
-/// into the oracle/bit-identity/protocol sweep.
-const BASE_SCENARIOS: &[&str] = &[
-    include_str!("../../../scenarios/2d.json"),
-    include_str!("../../../scenarios/3d.json"),
-    include_str!("../../../scenarios/3d-wide.json"),
-    include_str!("../../../scenarios/3d-fast.json"),
-    include_str!("../../../scenarios/dual-mc.json"),
-    include_str!("../../../scenarios/quad-mc.json"),
-    include_str!("../../../scenarios/8core-dual-stack.json"),
-    include_str!("../../../scenarios/16core-dual-stack.json"),
-];
-
 /// Inserts or replaces the member at `path` inside nested JSON objects,
 /// creating intermediate objects as needed. Replacements keep the original
 /// member position so rendered documents stay stable.
@@ -157,7 +140,10 @@ fn geometry(rng: &mut SmallRng, ways: &[u64], sets: &[u64]) -> (u64, u64) {
 /// findings, and must fail loudly.
 pub fn generate(seed: u64) -> FuzzCase {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let text = BASE_SCENARIOS[rng.gen_range(0..BASE_SCENARIOS.len())];
+    // Base machines are the shipped scenario files, sampled through the
+    // scenario frontend so the render → parse → validate → build path is
+    // itself under the fuzzer, beyond-quad-core topologies included.
+    let (_, text) = SHIPPED[rng.gen_range(0..SHIPPED.len())];
     let base = Scenario::from_str(text).expect("shipped scenario must load");
     let mut doc = Json::parse(text).expect("shipped scenario is valid JSON");
 
@@ -364,7 +350,7 @@ const SHRINK_OPS: &[ShrinkOp] = &[
     ("open-page", |c| c.cfg.memory.page_policy = PagePolicy::Open),
     ("no-prefetch", |c| c.cfg.l2_prefetch = false),
     ("penryn-caches", |c| {
-        let penryn = stacksim::configs::cfg_2d();
+        let penryn = Machines::builtin().m2d;
         c.cfg.l2 = penryn.l2;
         c.cfg.core.dl1 = penryn.core.dl1;
         for core in &mut c.cfg.per_core {
@@ -596,7 +582,7 @@ mod tests {
         assert_eq!(minimal.cfg.memory.refresh.period_ms, None);
         assert_eq!(minimal.mix, "M1");
         assert_eq!(minimal.run.measure_cycles, 6_000);
-        assert_eq!(minimal.cfg.l2, stacksim::configs::cfg_2d().l2);
+        assert_eq!(minimal.cfg.l2, Machines::builtin().m2d.l2);
         assert!(!applied.is_empty(), "{applied:?}");
         // And a predicate that never holds keeps the case untouched.
         let (same, none) = shrink_with(&case, |_| false);

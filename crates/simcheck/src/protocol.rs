@@ -389,9 +389,8 @@ pub fn check_run(cfg: &SystemConfig, result: &RunResult) -> Result<Vec<Violation
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stacksim::CORE_HZ;
     use stacksim_types::DramTiming;
-
-    const CORE_HZ: f64 = 3.333e9;
 
     fn params() -> ProtocolParams {
         ProtocolParams {

@@ -136,7 +136,7 @@ Prose mentions `machine.bogus` and `scenarios/2d.json`.
 |---|---|
 | `schema` | string |
 | `machine.cores` | integer |
-| `configs::cfg_2d()` | constructor |
+| `Machines::builtin()` | constructor |
 
 ```text
 | `machine.fenced` | inside a code block, but still a table row |
@@ -147,7 +147,7 @@ Prose mentions `machine.bogus` and `scenarios/2d.json`.
     fn documented_keys_come_from_table_rows_only() {
         let keys = documented_keys(DOC);
         let names: Vec<&str> = keys.iter().map(|k| k.key.as_str()).collect();
-        // `machine.bogus` is prose, `configs::cfg_2d()` is not key-shaped;
+        // `machine.bogus` is prose, `Machines::builtin()` is not key-shaped;
         // fenced table rows are indistinguishable from real ones, which is
         // fine — fenced examples should not document unknown keys either.
         assert_eq!(names, ["schema", "machine.cores", "machine.fenced"]);

@@ -41,7 +41,7 @@
 //! // First process: simulates and persists. Every later process: file read.
 //! let (r, _source) = session
 //!     .run_mix_cached(
-//!         &stacksim::configs::cfg_2d(),
+//!         &Machines::builtin().m2d,
 //!         Mix::by_name("VH1").unwrap(),
 //!         &RunConfig::quick(),
 //!     )
@@ -601,10 +601,11 @@ fn decode_payload(payload: &Json, mix: &'static str) -> Result<RunResult, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stacksim::scenario::Machines;
 
     #[test]
     fn keys_are_stable_and_sensitive() {
-        let cfg = stacksim::configs::cfg_2d();
+        let cfg = Machines::builtin().m2d;
         let run = RunConfig::quick();
         let a = StoreKey::derive(&cfg, "VH1", &run, "v1");
         // Pinned: a changed identity string or hasher re-keys every store.
@@ -613,7 +614,7 @@ mod tests {
         assert_ne!(a, StoreKey::derive(&cfg, "VH1", &run, "v2"));
         assert_ne!(
             a,
-            StoreKey::derive(&stacksim::configs::cfg_3d(), "VH1", &run, "v1")
+            StoreKey::derive(&Machines::builtin().m3d, "VH1", &run, "v1")
         );
     }
 

@@ -6,13 +6,15 @@
 //! ```
 
 use stacksim::runner::{run_mix, RunConfig};
-use stacksim::{configs, System};
+use stacksim::scenario::Machines;
+use stacksim::System;
 use stacksim_stats::Table;
 use stacksim_workload::Mix;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Table 1 at a glance: the baseline machine.
-    let cfg = configs::cfg_2d();
+    let machines = Machines::builtin();
+    let cfg = &machines.m2d;
     println!("Baseline quad-core (Table 1):");
     println!("  cores                : {}", cfg.cores);
     println!("  core clock           : {:.3} GHz", cfg.core_hz / 1e9);
@@ -51,9 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mix = Mix::by_name("H1").ok_or("mix H1 missing")?;
     println!("Running {mix} ...");
     let run = RunConfig::default();
-    let base = run_mix(&configs::cfg_2d(), mix, &run)?;
-    let fast = run_mix(&configs::cfg_3d_fast(), mix, &run)?;
-    let quad = run_mix(&configs::cfg_quad_mc(), mix, &run)?;
+    let base = run_mix(&machines.m2d, mix, &run)?;
+    let fast = run_mix(&machines.m3d_fast, mix, &run)?;
+    let quad = run_mix(&machines.quad_mc, mix, &run)?;
 
     let mut t = Table::new(vec![
         "configuration".into(),
@@ -76,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{t}");
 
     // Peek at the machine directly for per-component statistics.
-    let mut system = System::for_mix(&configs::cfg_quad_mc(), mix, run.seed)?;
+    let mut system = System::for_mix(&machines.quad_mc, mix, run.seed)?;
     system.run_cycles(50_000);
     let stats = system.metrics();
     println!("Selected machine statistics after 50k cycles:");

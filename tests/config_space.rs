@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 
-use stacksim::scenario::{Scenario, ScenarioError};
-use stacksim::{configs, System, SystemConfig};
+use stacksim::scenario::{Machines, Scenario, ScenarioError};
+use stacksim::{System, SystemConfig};
 use stacksim_mshr::MshrKind;
 use stacksim_types::InterleaveGranularity;
 use stacksim_workload::Mix;
@@ -28,9 +28,11 @@ fn arbitrary_config() -> impl Strategy<Value = SystemConfig> {
         Just(InterleaveGranularity::Page)
     ];
     let bus = prop_oneof![Just(8u32), Just(16), Just(64)];
+    let machines = Machines::builtin();
     (mcs, ranks, rbe, mshr_scale, kind, interleave, bus).prop_map(
-        |(mcs, ranks, rbe, scale, kind, interleave, bus)| {
-            let mut cfg = configs::cfg_aggressive(mcs, ranks, rbe)
+        move |(mcs, ranks, rbe, scale, kind, interleave, bus)| {
+            let mut cfg = machines
+                .aggressive(mcs, ranks, rbe)
                 .with_mshr_scale(scale)
                 .with_mshr_kind(kind);
             cfg.l2_interleave = interleave;
@@ -63,19 +65,19 @@ proptest! {
 #[test]
 fn invalid_shapes_are_rejected() {
     // Ranks not divisible among MCs.
-    let mut cfg = configs::cfg_3d_fast();
+    let mut cfg = Machines::builtin().m3d_fast;
     cfg.memory.mcs = 3;
     assert!(cfg.validate().is_err());
     // MSHR entries not divisible among banks.
-    let mut cfg = configs::cfg_quad_mc();
+    let mut cfg = Machines::builtin().quad_mc;
     cfg.mshr.total_entries = 10;
     assert!(cfg.validate().is_err());
     // MRQ smaller than the MC count.
-    let mut cfg = configs::cfg_quad_mc();
+    let mut cfg = Machines::builtin().quad_mc;
     cfg.memory.mrq_total = 2;
     assert!(cfg.validate().is_err());
     // Degenerate clocks.
-    let mut cfg = configs::cfg_2d();
+    let mut cfg = Machines::builtin().m2d;
     cfg.memory.bus_clock_divisor = 0;
     assert!(cfg.validate().is_err());
     // Cache geometries that do not split into whole sets: each error names
@@ -89,7 +91,7 @@ fn invalid_shapes_are_rejected() {
 /// Machines whose caches do not split into whole sets, with the scenario
 /// key each error must name.
 fn ragged_cache_geometries() -> Vec<(SystemConfig, &'static str)> {
-    let base = configs::cfg_2d();
+    let base = Machines::builtin().m2d;
     let mut cases = Vec::new();
     // 12 MB + 64 B: divides among 16 banks, but a bank is not whole lines.
     let mut cfg = base.clone();
@@ -124,7 +126,7 @@ fn ragged_cache_geometries() -> Vec<(SystemConfig, &'static str)> {
 
 #[test]
 fn system_rejects_what_validate_rejects() {
-    let mut cfg = configs::cfg_quad_mc();
+    let mut cfg = Machines::builtin().quad_mc;
     cfg.mshr.total_entries = 10;
     let mix = Mix::by_name("M1").unwrap();
     assert!(System::for_mix(&cfg, mix, 0).is_err());

@@ -3,33 +3,33 @@
 //! its statistics self-consistent.
 
 use stacksim::runner::{run_mix, RunConfig};
-use stacksim::{configs, System, SystemConfig};
+use stacksim::scenario::Machines;
+use stacksim::{System, SystemConfig};
 use stacksim_mshr::MshrKind;
 use stacksim_workload::Mix;
 
 fn all_machine_shapes() -> Vec<(&'static str, SystemConfig)> {
+    let m = Machines::builtin();
     vec![
-        ("2d", configs::cfg_2d()),
-        ("3d", configs::cfg_3d()),
-        ("3d_wide", configs::cfg_3d_wide()),
-        ("3d_fast", configs::cfg_3d_fast()),
-        ("dual_mc", configs::cfg_dual_mc()),
-        ("quad_mc", configs::cfg_quad_mc()),
+        ("2d", m.m2d.clone()),
+        ("3d", m.m3d.clone()),
+        ("3d_wide", m.m3d_wide.clone()),
+        ("3d_fast", m.m3d_fast.clone()),
+        ("dual_mc", m.dual_mc.clone()),
+        ("quad_mc", m.quad_mc.clone()),
         (
             "quad_vbf",
-            configs::cfg_quad_mc()
-                .with_mshr_scale(8)
-                .with_mshr_kind(MshrKind::Vbf),
+            m.quad_mc.with_mshr_scale(8).with_mshr_kind(MshrKind::Vbf),
         ),
         (
             "dual_hier",
-            configs::cfg_dual_mc()
+            m.dual_mc
                 .with_mshr_scale(4)
                 .with_mshr_kind(MshrKind::Hierarchical),
         ),
         (
             "quad_quadratic",
-            configs::cfg_quad_mc()
+            m.quad_mc
                 .with_mshr_scale(8)
                 .with_mshr_kind(MshrKind::DirectQuadratic),
         ),
@@ -78,7 +78,7 @@ fn no_spurious_completions_anywhere() {
 fn request_conservation_under_stream_load() {
     // Every demand L2 miss eventually becomes exactly one memory read (or
     // merges); reads issued at the MCs can never exceed requests created.
-    let cfg = configs::cfg_quad_mc();
+    let cfg = Machines::builtin().quad_mc;
     let mix = Mix::by_name("VH1").unwrap();
     let mut sys = System::for_mix(&cfg, mix, 5).unwrap();
     sys.run_cycles(60_000);
@@ -100,7 +100,7 @@ fn request_conservation_under_stream_load() {
 
 #[test]
 fn identical_runs_are_bit_identical() {
-    let cfg = configs::cfg_dual_mc();
+    let cfg = Machines::builtin().dual_mc;
     let run = RunConfig {
         warmup_cycles: 5_000,
         measure_cycles: 30_000,
@@ -128,7 +128,7 @@ fn identical_runs_are_bit_identical() {
 
 #[test]
 fn different_seeds_change_timing_but_not_validity() {
-    let cfg = configs::cfg_3d_fast();
+    let cfg = Machines::builtin().m3d_fast;
     let mix = Mix::by_name("H2").unwrap();
     let mut totals = Vec::new();
     for seed in [1u64, 2, 3] {
@@ -145,7 +145,7 @@ fn different_seeds_change_timing_but_not_validity() {
 
 #[test]
 fn hmipc_equals_harmonic_mean_of_core_ipcs() {
-    let cfg = configs::cfg_3d_fast();
+    let cfg = Machines::builtin().m3d_fast;
     let run = RunConfig {
         warmup_cycles: 5_000,
         measure_cycles: 30_000,

@@ -8,8 +8,8 @@
 //! *executed*, not what the machine *did*.
 
 use stacksim::config::SystemConfig;
-use stacksim::configs;
 use stacksim::runner::{run_mix, RunConfig};
+use stacksim::scenario::Machines;
 use stacksim::trace::TraceConfig;
 use stacksim::System;
 use stacksim_mshr::{MshrKind, TunerConfig};
@@ -93,13 +93,14 @@ fn assert_bit_identical_in_chunks(
 #[test]
 fn fast_forward_matches_tick_by_tick_on_2d() {
     // Off-chip memory, single MC: long stalls, the skip-friendliest case.
-    assert_bit_identical("2d/VH1", &configs::cfg_2d(), "VH1", RunConfig::quick());
-    assert_bit_identical("2d/M1", &configs::cfg_2d(), "M1", RunConfig::quick());
+    let cfg = Machines::builtin().m2d;
+    assert_bit_identical("2d/VH1", &cfg, "VH1", RunConfig::quick());
+    assert_bit_identical("2d/M1", &cfg, "M1", RunConfig::quick());
 }
 
 #[test]
 fn fast_forward_matches_tick_by_tick_on_3d_multi_mc() {
-    let cfg = configs::cfg_quad_mc();
+    let cfg = Machines::builtin().quad_mc;
     assert_bit_identical("quad-mc/VH2", &cfg, "VH2", RunConfig::quick());
     assert_bit_identical("quad-mc/HM1", &cfg, "HM1", RunConfig::quick());
 }
@@ -109,7 +110,8 @@ fn fast_forward_matches_tick_by_tick_with_vbf_and_dynamic_mshr() {
     // VBF MSHRs add probe-latency events; the dynamic tuner adds phase
     // boundaries the skip must stop at, and each new capacity limit wakes
     // every request parked on a full MSHR bank.
-    let cfg = configs::cfg_dual_mc()
+    let cfg = Machines::builtin()
+        .dual_mc
         .with_mshr_kind(MshrKind::Vbf)
         .with_mshr_scale(8)
         .with_dynamic_mshr(TunerConfig {
@@ -127,7 +129,7 @@ fn fast_forward_matches_tick_by_tick_when_l2_prefetch_fills_wake_waiters() {
     // released by the fill of its line alone.
     assert_bit_identical(
         "l2-prefetch/dual-mc/VH2",
-        &configs::cfg_dual_mc(),
+        &Machines::builtin().dual_mc,
         "VH2",
         RunConfig::quick(),
     );
@@ -135,10 +137,16 @@ fn fast_forward_matches_tick_by_tick_when_l2_prefetch_fills_wake_waiters() {
 
 #[test]
 fn mshr_waiters_settle_between_short_run_cycles_calls() {
-    assert_bit_identical_in_chunks("chunks-of-1/2d/VH1", &configs::cfg_2d(), "VH1", 1, 3_000);
+    assert_bit_identical_in_chunks(
+        "chunks-of-1/2d/VH1",
+        &Machines::builtin().m2d,
+        "VH1",
+        1,
+        3_000,
+    );
     assert_bit_identical_in_chunks(
         "chunks-of-7/quad-mc/VH2",
-        &configs::cfg_quad_mc(),
+        &Machines::builtin().quad_mc,
         "VH2",
         7,
         3_000,
@@ -152,7 +160,7 @@ fn fast_forward_matches_tick_by_tick_while_tracing() {
     let mut trace = TraceConfig::all();
     trace.sample_interval = 512;
     let run = RunConfig::quick().with_trace(trace);
-    assert_bit_identical("traced/H1", &configs::cfg_3d_fast(), "H1", run);
+    assert_bit_identical("traced/H1", &Machines::builtin().m3d_fast, "H1", run);
 }
 
 #[test]
@@ -163,13 +171,13 @@ fn partial_quiescence_matches_tick_by_tick_with_mcs_draining() {
     // memory stages run for real) far more than whole-machine jumps.
     assert_bit_identical(
         "partial/quad-mc/VH1",
-        &configs::cfg_quad_mc(),
+        &Machines::builtin().quad_mc,
         "VH1",
         RunConfig::quick(),
     );
     assert_bit_identical(
         "partial/dual-mc/HM1",
-        &configs::cfg_dual_mc(),
+        &Machines::builtin().dual_mc,
         "HM1",
         RunConfig::quick(),
     );
@@ -183,13 +191,13 @@ fn partial_quiescence_matches_tick_by_tick_on_branch_refill_heavy_mix() {
     // fills short so branch stalls dominate the inert windows.
     assert_bit_identical(
         "partial/3d-fast/M1",
-        &configs::cfg_3d_fast(),
+        &Machines::builtin().m3d_fast,
         "M1",
         RunConfig::quick(),
     );
     assert_bit_identical(
         "partial/quad-mc/M2",
-        &configs::cfg_quad_mc(),
+        &Machines::builtin().quad_mc,
         "M2",
         RunConfig::quick(),
     );
@@ -206,13 +214,13 @@ fn partial_quiescence_skips_cycles_on_figure6_shaped_configs() {
     for (label, cfg, mix_name, floor) in [
         (
             "figure6-shaped/quad-mc/VH1",
-            configs::cfg_quad_mc(),
+            Machines::builtin().quad_mc,
             "VH1",
             0.10,
         ),
         (
             "figure6-shaped/dual-mc/HM1",
-            configs::cfg_dual_mc(),
+            Machines::builtin().dual_mc,
             "HM1",
             0.08,
         ),
@@ -233,7 +241,7 @@ fn memory_bound_mixes_skip_most_cycles() {
     // The point of the whole exercise: on a memory-bound mix the machine
     // is quiescent more often than not.
     let mix = Mix::by_name("VH1").expect("known mix");
-    let result = run_mix(&configs::cfg_2d(), mix, &RunConfig::quick()).expect("run");
+    let result = run_mix(&Machines::builtin().m2d, mix, &RunConfig::quick()).expect("run");
     let skipped = result.stats.get("skipped_cycles").expect("skip counter");
     let cycles = result.stats.get("cycles").expect("cycles");
     assert!(

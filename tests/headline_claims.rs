@@ -2,7 +2,6 @@
 //! §5.2): the cumulative speedup chain must reproduce in *shape* — who
 //! wins, ordering, and rough factors — across the memory-intensive mixes.
 
-use stacksim::configs;
 use stacksim::experiments::headline;
 use stacksim::runner::{run_mix, RunConfig, Session};
 use stacksim::scenario::Machines;
@@ -61,13 +60,14 @@ fn gains_shrink_for_moderate_mixes() {
     // §3: "the moderate-miss applications do not observe as large of a
     // benefit ... these programs have better L2 cache hit rates".
     let rc = run();
+    let machines = Machines::builtin();
     let speedup_of = |mix_names: &[&str]| -> f64 {
         let vals: Vec<f64> = mix_names
             .iter()
             .map(|n| {
                 let mix = Mix::by_name(n).unwrap();
-                let base = run_mix(&configs::cfg_2d(), mix, &rc).unwrap();
-                let fast = run_mix(&configs::cfg_3d_fast(), mix, &rc).unwrap();
+                let base = run_mix(&machines.m2d, mix, &rc).unwrap();
+                let fast = run_mix(&machines.m3d_fast, mix, &rc).unwrap();
                 fast.speedup_over(&base).unwrap()
             })
             .collect();

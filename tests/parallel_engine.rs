@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use stacksim::configs;
 use stacksim::experiments::{ablation_energy, ablation_smart_refresh, table2a};
 use stacksim::runner::{run_mix, RunConfig, RunPoint, RunSource, Session};
 use stacksim::scenario::Machines;
@@ -29,7 +28,8 @@ fn session(jobs: usize) -> Session {
 #[test]
 fn parallel_matrix_is_bit_identical_to_sequential_run_mix() {
     let run = window();
-    let cfgs = [configs::cfg_2d(), configs::cfg_3d_fast()];
+    let machines = Machines::builtin();
+    let cfgs = [machines.m2d, machines.m3d_fast];
     let mixes = [Mix::by_name("M1").unwrap(), Mix::by_name("VH1").unwrap()];
     let points: Vec<RunPoint> = cfgs
         .iter()
@@ -70,7 +70,7 @@ fn parallel_matrix_is_bit_identical_to_sequential_run_mix() {
 fn worker_count_cannot_perturb_results() {
     let run = window();
     let mixes = [Mix::by_name("H2").unwrap(), Mix::by_name("HM2").unwrap()];
-    let cfg = configs::cfg_3d();
+    let cfg = Machines::builtin().m3d;
     let points: Vec<RunPoint> = mixes.iter().map(|&m| (cfg.clone(), m, run)).collect();
     let serial = session(1).run_matrix(&points).unwrap();
     let wide = session(8).run_matrix(&points).unwrap();
@@ -84,7 +84,7 @@ fn worker_count_cannot_perturb_results() {
 #[test]
 fn repeated_points_hit_the_memo() {
     let run = window();
-    let cfg = configs::cfg_3d_fast();
+    let cfg = Machines::builtin().m3d_fast;
     let mix = Mix::by_name("HM1").unwrap();
     let session = session(2);
 
@@ -108,7 +108,7 @@ fn repeated_points_hit_the_memo() {
 #[test]
 fn concurrent_callers_of_one_point_simulate_it_once() {
     let run = window();
-    let point: RunPoint = (configs::cfg_2d(), Mix::by_name("H1").unwrap(), run);
+    let point: RunPoint = (Machines::builtin().m2d, Mix::by_name("H1").unwrap(), run);
     let session = session(4);
     let results = session.run_matrix(&vec![point; 8]).unwrap();
     assert!(results.iter().all(|r| Arc::ptr_eq(r, &results[0])));
@@ -119,7 +119,7 @@ fn concurrent_callers_of_one_point_simulate_it_once() {
 #[test]
 fn memo_distinguishes_every_key_component() {
     let run = window();
-    let cfg = configs::cfg_3d_fast();
+    let cfg = Machines::builtin().m3d_fast;
     let mix = Mix::by_name("M2").unwrap();
     let session = session(1);
     let cached = |cfg: &SystemConfig, mix: &'static Mix, run: &RunConfig| {
@@ -128,7 +128,7 @@ fn memo_distinguishes_every_key_component() {
     let base = cached(&cfg, mix, &run);
 
     // Different config, same mix and window.
-    let other_cfg = cached(&configs::cfg_2d(), mix, &run);
+    let other_cfg = cached(&Machines::builtin().m2d, mix, &run);
     assert!(!Arc::ptr_eq(&base, &other_cfg));
 
     // Different mix, same config and window.
@@ -146,7 +146,7 @@ fn memo_distinguishes_every_key_component() {
 #[test]
 fn two_sessions_share_nothing() {
     let run = window();
-    let cfg = configs::cfg_2d();
+    let cfg = Machines::builtin().m2d;
     let mix = Mix::by_name("VH3").unwrap();
 
     let a = session(1);

@@ -1,14 +1,12 @@
 //! The scenario frontend's shipping contract: every file under
-//! `scenarios/` must parse, validate and build; the six Table 1 twins must
-//! be *equal* to their `configs` constructors (so scenario-driven runs are
-//! bit-identical to the historical constructor-driven ones); and the
-//! beyond-quad-core machines must actually simulate.
+//! `scenarios/` must parse, validate and build, and is embedded in the
+//! crate's `SHIPPED` table (the only definition of the paper's machines);
+//! and the beyond-quad-core machines must actually simulate.
 
 use std::path::{Path, PathBuf};
 
-use stacksim::configs;
 use stacksim::runner::{run_mix, RunConfig};
-use stacksim::scenario::{Machines, Scenario, ScenarioHash, MACHINE_FILES};
+use stacksim::scenario::{Machines, Scenario, MACHINE_FILES, SHIPPED};
 use stacksim_workload::Mix;
 
 fn scenario_dir() -> PathBuf {
@@ -40,46 +38,27 @@ fn every_shipped_scenario_parses_validates_and_builds() {
     assert!(seen >= 8, "only {seen} scenario files found");
 }
 
+/// The embedded table is the directory: a new shipped file cannot be
+/// missed by `Machines::builtin` or by the fuzzer, and the auto-detected
+/// `scenarios/` set is the built-in one.
 #[test]
-fn shipped_twins_equal_the_builtin_constructors() {
-    let from_files = Machines::from_dir(&scenario_dir()).expect("shipped machine set must load");
-    let builtin = Machines::builtin();
+fn embedded_table_lists_exactly_the_shipped_files() {
+    let mut on_disk: Vec<String> = std::fs::read_dir(scenario_dir())
+        .expect("scenarios/ must exist")
+        .map(|e| e.expect("readable dir entry").file_name())
+        .map(|name| name.into_string().expect("UTF-8 file name"))
+        .filter(|name| name.ends_with(".json"))
+        .collect();
+    on_disk.sort();
+    let mut embedded: Vec<&str> = SHIPPED.iter().map(|&(name, _)| name).collect();
+    assert_eq!(&embedded[..MACHINE_FILES.len()], MACHINE_FILES);
+    embedded.sort();
+    assert_eq!(on_disk, embedded);
     assert_eq!(
-        from_files, builtin,
-        "scenario twins drifted from configs.rs"
+        Machines::from_dir(&scenario_dir()),
+        Ok(Machines::builtin()),
+        "scenarios/ and the embedded set must be the same machines"
     );
-    // And therefore their memo keys agree too.
-    for (file, a, b) in [
-        ("2d.json", &from_files.m2d, &builtin.m2d),
-        ("quad-mc.json", &from_files.quad_mc, &builtin.quad_mc),
-    ] {
-        assert_eq!(
-            ScenarioHash::of(a),
-            ScenarioHash::of(b),
-            "{file}: hash mismatch"
-        );
-    }
-    assert_eq!(MACHINE_FILES.len(), 6);
-}
-
-/// A scenario-loaded machine and its constructor twin must produce the
-/// same `RunResult` bit for bit — committed counts, IPC and every metric.
-#[test]
-fn scenario_run_is_bit_identical_to_constructor_run() {
-    let scenario = Scenario::from_path(&scenario_dir().join("quad-mc.json")).expect("quad-mc");
-    let mix = Mix::by_name("VH2").expect("known mix");
-    let run = RunConfig {
-        warmup_cycles: 2_000,
-        measure_cycles: 12_000,
-        seed: 7,
-        ..RunConfig::default()
-    };
-    let a = run_mix(&scenario.config, mix, &run).expect("scenario run");
-    let b = run_mix(&configs::cfg_quad_mc(), mix, &run).expect("constructor run");
-    assert_eq!(a.committed, b.committed);
-    assert_eq!(a.per_core_ipc, b.per_core_ipc);
-    assert_eq!(a.hmipc.to_bits(), b.hmipc.to_bits());
-    assert_eq!(a.stats.flatten(), b.stats.flatten());
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! counts, and an injected timing bug is caught.
 
 use stacksim::config::SystemConfig;
-use stacksim::configs;
 use stacksim::runner::{run_mix, RunConfig, RunResult};
+use stacksim::scenario::Machines;
 use stacksim::trace::TraceConfig;
 use stacksim_dram::{DramCmdKind, PagePolicy};
 use stacksim_simcheck::protocol::{check_run, check_stream, ProtocolParams, ProtocolRule};
@@ -36,23 +36,23 @@ fn assert_clean(label: &str, cfg: &SystemConfig, mix: &str) {
 
 #[test]
 fn off_chip_memory_with_refresh_obeys_the_protocol() {
-    // cfg_2d refreshes every 64 ms and pays the full tRP/tRCD/tCAS chain.
-    assert_clean("2d/VH1", &configs::cfg_2d(), "VH1");
+    // The 2D baseline refreshes every 64 ms and pays the full tRP/tRCD/tCAS chain.
+    assert_clean("2d/VH1", &Machines::builtin().m2d, "VH1");
 }
 
 #[test]
 fn stacked_memory_obeys_the_protocol() {
-    assert_clean("3d-fast/H1", &configs::cfg_3d_fast(), "H1");
-    assert_clean("quad-mc/VH2", &configs::cfg_quad_mc(), "VH2");
+    assert_clean("3d-fast/H1", &Machines::builtin().m3d_fast, "H1");
+    assert_clean("quad-mc/VH2", &Machines::builtin().quad_mc, "VH2");
 }
 
 #[test]
 fn closed_page_and_smart_refresh_obey_the_protocol() {
-    let mut cfg = configs::cfg_3d();
+    let mut cfg = Machines::builtin().m3d;
     cfg.memory.page_policy = PagePolicy::Closed;
     assert_clean("3d/closed/H2", &cfg, "H2");
 
-    let mut cfg = configs::cfg_3d();
+    let mut cfg = Machines::builtin().m3d;
     cfg.memory.smart_refresh = true;
     cfg.memory.row_buffer_entries = 4;
     assert_clean("3d/smart-refresh/VH1", &cfg, "VH1");
@@ -60,7 +60,7 @@ fn closed_page_and_smart_refresh_obey_the_protocol() {
 
 #[test]
 fn injected_trp_off_by_one_is_caught() {
-    let cfg = configs::cfg_2d();
+    let cfg = Machines::builtin().m2d;
     let result = traced_run(&cfg, "VH1");
     let params = ProtocolParams::for_config(&cfg).expect("valid config");
     let mut streams = result.trace.expect("trace recorded").dram_cmds;
@@ -97,10 +97,10 @@ fn injected_trp_off_by_one_is_caught() {
 fn wrong_refresh_cadence_is_caught() {
     // Pretend the configuration promised refreshes half as often as the
     // machine actually performs them: the checker must notice the surplus.
-    let cfg = configs::cfg_2d();
+    let cfg = Machines::builtin().m2d;
     let result = traced_run(&cfg, "M1");
     let mut params = ProtocolParams::for_config(&cfg).expect("valid config");
-    let interval = params.refresh_interval.expect("cfg_2d refreshes");
+    let interval = params.refresh_interval.expect("the 2D baseline refreshes");
     params.refresh_interval = Some(stacksim_types::Cycles::new(interval.raw() * 2));
 
     let trace = result.trace.as_ref().expect("trace recorded");

@@ -5,7 +5,6 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use stacksim::configs::{cfg_2d, cfg_3d};
 use stacksim::runner::{self, RunConfig, RunResult, RunSource, Session};
 use stacksim::scenario::Machines;
 use stacksim_store::{Store, StoreKey};
@@ -45,7 +44,7 @@ fn assert_bit_identical(a: &RunResult, b: &RunResult) {
 #[test]
 fn miss_run_persist_then_cold_process_hit_is_bit_identical() {
     let dir = scratch("roundtrip");
-    let cfg = cfg_2d();
+    let cfg = Machines::builtin().m2d;
     let run = RunConfig::quick();
     let m = mix("VH1");
 
@@ -73,12 +72,15 @@ fn miss_run_persist_then_cold_process_hit_is_bit_identical() {
 
 #[test]
 fn key_is_sensitive_to_every_identity_field() {
-    let cfg = cfg_2d();
+    let cfg = Machines::builtin().m2d;
     let run = RunConfig::quick();
     let base = StoreKey::derive(&cfg, "VH1", &run, "v1");
 
     // Scenario change.
-    assert_ne!(base, StoreKey::derive(&cfg_3d(), "VH1", &run, "v1"));
+    assert_ne!(
+        base,
+        StoreKey::derive(&Machines::builtin().m3d, "VH1", &run, "v1")
+    );
     // Mix change.
     assert_ne!(base, StoreKey::derive(&cfg, "H1", &run, "v1"));
     // Window changes: warmup, measure, seed, fast-forward.
@@ -102,7 +104,7 @@ fn key_is_sensitive_to_every_identity_field() {
 #[test]
 fn code_version_change_forces_a_miss_on_the_same_files() {
     let dir = scratch("code-version");
-    let cfg = cfg_2d();
+    let cfg = Machines::builtin().m2d;
     let run = RunConfig::quick();
     let m = mix("H1");
 
@@ -129,7 +131,7 @@ fn code_version_change_forces_a_miss_on_the_same_files() {
 #[test]
 fn runner_serves_store_hits_without_simulating() {
     let dir = scratch("runner-tiers");
-    let cfg = cfg_2d();
+    let cfg = Machines::builtin().m2d;
     let run = RunConfig::quick();
     let m = mix("VH2");
 

@@ -6,8 +6,8 @@
 use std::fs;
 use std::path::PathBuf;
 
-use stacksim::configs::cfg_2d;
 use stacksim::runner::{self, RunConfig, RunResult};
+use stacksim::scenario::Machines;
 use stacksim_store::{Store, StoreKey, ENVELOPE_SCHEMA};
 use stacksim_workload::Mix;
 
@@ -22,7 +22,7 @@ fn scratch(name: &str) -> PathBuf {
 /// (the payload bytes don't matter to the fault paths, only the result's
 /// existence does).
 fn seed_entry(store: &Store) -> (RunResult, StoreKey) {
-    let cfg = cfg_2d();
+    let cfg = Machines::builtin().m2d;
     let run = RunConfig::quick();
     let m = Mix::by_name("VH1").expect("registry mix");
     let result = runner::run_mix(&cfg, m, &run).expect("simulation succeeds");
@@ -33,7 +33,7 @@ fn seed_entry(store: &Store) -> (RunResult, StoreKey) {
 }
 
 fn load(store: &Store) -> Option<RunResult> {
-    store.load_result(&cfg_2d(), "VH1", &RunConfig::quick())
+    store.load_result(&Machines::builtin().m2d, "VH1", &RunConfig::quick())
 }
 
 /// Applies `corrupt` to the one live envelope, then checks the full
@@ -66,7 +66,7 @@ fn assert_quarantines(name: &str, reason_slug: &str, corrupt: impl Fn(&str) -> S
     assert_eq!(store.stats().quarantined, 1);
 
     // The point is recomputable and the store heals on the next save.
-    let cfg = cfg_2d();
+    let cfg = Machines::builtin().m2d;
     let run = RunConfig::quick();
     let m = Mix::by_name("VH1").unwrap();
     let recomputed = runner::run_mix(&cfg, m, &run).unwrap();
@@ -134,7 +134,7 @@ fn wrong_identity_is_quarantined() {
 
     // Ask for a different mix under the same window; copy the VH1
     // envelope over that key's path so the content cannot match.
-    let cfg = cfg_2d();
+    let cfg = Machines::builtin().m2d;
     let run = RunConfig::quick();
     let other = store.key_for(&cfg, "H1", &run);
     fs::copy(store.entry_path(key), store.entry_path(other)).unwrap();
