@@ -1185,9 +1185,16 @@ mod tests {
         assert_eq!((mem.bus_clock_divisor, mem.mc_clock_divisor), (2, 4));
         // The 12 ns package/PCB path to off-chip memory.
         assert_eq!(mem.path_latency, Cycles::from_ns(12.0, CORE_HZ));
-        // `scenarios/2d.json` is that empty machine, hash and all.
+        // `scenarios/2d.json` is that empty machine.
+        assert_eq!(*cfg, Machines::builtin().m2d);
+    }
+
+    #[test]
+    fn hash_matches_constructor_twin() {
+        // The empty scenario hashes as its twin, the built-in 2D machine,
+        // and not as the stacked one.
+        let s = scenario(r#"{}"#).unwrap();
         let machines = Machines::builtin();
-        assert_eq!(*cfg, machines.m2d);
         assert_eq!(s.hash(), ScenarioHash::of(&machines.m2d));
         assert_ne!(s.hash(), ScenarioHash::of(&machines.m3d));
     }
