@@ -280,13 +280,26 @@ where
     let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let out = f(item);
-                *slots[i].lock().expect("result slot poisoned") = Some(out); // simlint::allow(P002, reason = "slot mutex poisoning means a worker already panicked; propagating is correct")
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    let out = f(item);
+                    // simlint::allow(P002, reason = "slot mutex poisoning means a worker already panicked; propagating is correct")
+                    *slots[i].lock().expect("result slot poisoned") = Some(out);
+                })
+            })
+            .collect();
+        // Join each worker's OS thread, not only its closure (all the scope
+        // itself waits for): a thread hands its malloc arena back only as it
+        // exits, so the next call's workers then reuse the same arenas
+        // instead of, depending on timing, creating new ones. That keeps the
+        // process's peak resident set the same from one run to the next.
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     slots
@@ -729,5 +742,22 @@ mod tests {
         assert_eq!(last_total.load(Ordering::Relaxed), 2);
         assert_eq!(session.memo_len(), 2);
         assert_eq!(session.tier_stats(), (0, 0, 2));
+    }
+
+    #[test]
+    fn parallel_map_keeps_order_and_rethrows_a_worker_panic() {
+        let items: Vec<u32> = (0..64).collect();
+        assert_eq!(
+            parallel_map(3, &items, |x| x * 2),
+            (0..64).map(|x| x * 2).collect::<Vec<_>>()
+        );
+        let panic = std::panic::catch_unwind(|| {
+            parallel_map(2, &items, |&x| if x == 17 { panic!("item {x}") } else { x })
+        })
+        .unwrap_err();
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("item 17")
+        );
     }
 }
