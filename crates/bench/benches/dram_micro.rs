@@ -3,13 +3,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use stacksim_dram::{Bank, BankConfig};
-use stacksim_types::{Cycle, DramTiming};
+use stacksim_dram::{BankConfig, Banks};
+use stacksim_types::{BankId, Cycle, DramTiming};
 
-fn stream(bank: &mut Bank, rows: &[u64]) -> Cycle {
+/// Streams `rows` through one bank of a one-bank store, each read issued
+/// when the bank frees.
+fn stream(banks: &mut Banks, rows: &[u64]) -> Cycle {
     let mut now = Cycle::ZERO;
     for &row in rows {
-        let r = bank.read(row, now);
+        let r = banks.read(0, BankId::new(0), row, now);
         now = r.bank_free;
     }
     now
@@ -25,10 +27,10 @@ fn bench_dram_micro(c: &mut Criterion) {
     ] {
         let cfg = BankConfig::new(timing.to_cycles(3.333e9), 1, None);
         group.bench_with_input(BenchmarkId::new("row_hits", label), &cfg, |b, &cfg| {
-            b.iter(|| stream(&mut Bank::new(cfg, 1 << 15), &hit_rows))
+            b.iter(|| stream(&mut Banks::new(cfg, 1, 1, 1 << 15), &hit_rows))
         });
         group.bench_with_input(BenchmarkId::new("row_thrash", label), &cfg, |b, &cfg| {
-            b.iter(|| stream(&mut Bank::new(cfg, 1 << 15), &thrash_rows))
+            b.iter(|| stream(&mut Banks::new(cfg, 1, 1, 1 << 15), &thrash_rows))
         });
     }
     group.finish();

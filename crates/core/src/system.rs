@@ -1264,14 +1264,12 @@ impl System {
     }
 
     /// Estimates the total DRAM energy consumed so far under `model`,
-    /// summed over every bank of every rank of every controller.
+    /// summed over every bank of every controller.
     pub fn dram_energy(&self, model: &stacksim_dram::EnergyModel) -> stacksim_dram::EnergyReport {
         let mut total = stacksim_dram::EnergyReport::default();
         for mc in &self.mcs {
-            for rank in mc.ranks() {
-                for bank in rank.banks() {
-                    total.accumulate(&model.energy_of(bank));
-                }
+            for bank in mc.banks().iter() {
+                total.accumulate(&model.energy_of(bank));
             }
         }
         total

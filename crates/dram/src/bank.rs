@@ -1,8 +1,6 @@
 //! One DRAM bank: a timing state machine over a row-buffer cache.
 
-use stacksim_types::{ConfigError, Cycle, Cycles};
-
-use crate::row_buffer::{ProbeOutcome, RowBufferCache};
+use stacksim_types::{ConfigError, Cycle, Cycles, LruSets};
 
 /// Row management policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -167,16 +165,17 @@ pub struct AccessResult {
 /// One DRAM bank.
 ///
 /// The bank serializes commands: an access cannot begin before the bank's
-/// previous operation completes (`busy_until`). A row-buffer hit costs tCAS
-/// only; a miss must precharge (tRP, not before the current row has been
-/// open tRAS) and activate (tRCD) before the column access. Refresh is
-/// modelled per-row: every `refresh_interval` the bank steals tRAS + tRP and
-/// closes its open rows.
+/// previous operation completes. A row-buffer hit costs tCAS only; a miss
+/// must precharge (tRP, not before the current row has been open tRAS)
+/// and activate (tRCD) before the column access. Refresh is modelled
+/// per-row: every `refresh_interval` the bank steals tRAS + tRP and closes
+/// its open rows.
+///
+/// The bank's free cycle and open rows live in its [`Banks`](crate::Banks)
+/// store, which lends them to each access; the bank keeps the rest.
 #[derive(Clone, Debug)]
 pub struct Bank {
     config: BankConfig,
-    row_buffers: RowBufferCache,
-    busy_until: Cycle,
     /// Earliest cycle a precharge may complete, enforcing tRAS from the
     /// most recent activate.
     ras_ready: Cycle,
@@ -199,33 +198,15 @@ pub struct Bank {
 }
 
 impl Bank {
-    /// Creates a bank with `rows` rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is zero.
-    pub fn new(config: BankConfig, rows: u64) -> Self {
-        Self::try_new(config, rows).unwrap_or_else(|e| panic!("{e}")) // simlint::allow(P003, reason = "documented panicking convenience constructor; try_new is the fallible path")
-    }
-
-    /// Creates a bank with `rows` rows, returning a typed error on a
-    /// degenerate geometry instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if `rows` is zero.
-    pub fn try_new(config: BankConfig, rows: u64) -> Result<Self, ConfigError> {
-        if rows == 0 {
-            return Err(ConfigError::new("bank needs at least one row"));
-        }
-        Ok(Bank {
-            row_buffers: RowBufferCache::new(config.row_buffer_entries),
+    /// Creates a bank with `rows` rows (non-zero; [`Banks`](crate::Banks)
+    /// checks).
+    pub(crate) fn new(config: BankConfig, rows: u64) -> Self {
+        Bank {
             next_refresh: config.refresh_interval.map(|i| Cycle::ZERO + i),
             refresh_cursor: 0,
             row_last_activate: std::collections::HashMap::new(),
             refresh_log: None,
             config,
-            busy_until: Cycle::ZERO,
             ras_ready: Cycle::ZERO,
             rows,
             reads: 0,
@@ -236,90 +217,86 @@ impl Bank {
             refreshes: 0,
             refreshes_skipped: 0,
             busy_cycles: 0,
-        })
+        }
     }
 
-    /// Reads a line from `row` at time `now`.
+    /// Reads (or, with `is_write`, writes) a line of `row` at time `now`.
+    /// `busy_until` is the bank's free-cycle slot and set `set` of
+    /// `open_rows` its row-buffer cache, both lent by the bank's store.
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of range.
-    pub fn read(&mut self, row: u64, now: Cycle) -> AccessResult {
-        self.access(row, now, false)
-    }
-
-    /// Writes a line to `row` at time `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn write(&mut self, row: u64, now: Cycle) -> AccessResult {
-        self.access(row, now, true)
-    }
-
-    fn access(&mut self, row: u64, now: Cycle, is_write: bool) -> AccessResult {
+    pub(crate) fn access(
+        &mut self,
+        busy_until: &mut Cycle,
+        open_rows: &mut LruSets,
+        set: usize,
+        row: u64,
+        now: Cycle,
+        is_write: bool,
+    ) -> AccessResult {
         assert!(
             row < self.rows,
             "row {row} out of range (bank has {} rows)",
             self.rows
         );
-        self.catch_up_refresh(now);
+        self.catch_up_refresh(busy_until, open_rows, set, now);
         if self.config.page_policy == PagePolicy::Closed {
-            return self.access_closed(row, now, is_write);
+            return self.access_closed(busy_until, row, now, is_write);
         }
         let t = *self.config.timing();
-        let start = now.max(self.busy_until);
+        let start = now.max(*busy_until);
         // tCAS is the *latency* until data appears; the bank itself is only
         // occupied for tCCD per column burst (reads to an open row
         // pipeline), or through tWR for writes.
-        let (data_ready, bank_free, row_hit, cmds) = match self.row_buffers.probe(row) {
-            ProbeOutcome::Hit => {
-                self.row_hits += 1;
-                let cmds = CmdTimes {
-                    precharge_at: None,
-                    activate_at: None,
-                    column_at: start,
-                };
-                if is_write {
-                    // Write into the open row: data accepted after the
-                    // burst, bank busy through write recovery.
-                    let accepted = start + t.t_ccd;
-                    (accepted, accepted + t.t_wr, true, cmds)
-                } else {
-                    (start + t.t_cas, start + t.t_ccd, true, cmds)
-                }
+        let (data_ready, bank_free, row_hit, cmds) = if open_rows.touch_in(set, row, false) {
+            self.row_hits += 1;
+            let cmds = CmdTimes {
+                precharge_at: None,
+                activate_at: None,
+                column_at: start,
+            };
+            if is_write {
+                // Write into the open row: data accepted after the
+                // burst, bank busy through write recovery.
+                let accepted = start + t.t_ccd;
+                (accepted, accepted + t.t_wr, true, cmds)
+            } else {
+                (start + t.t_cas, start + t.t_ccd, true, cmds)
             }
-            ProbeOutcome::Miss => {
-                self.row_misses += 1;
-                self.activates += 1;
-                if self.config.smart_refresh {
-                    self.row_last_activate.insert(row, start);
-                }
-                // Precharge cannot complete before tRAS from the previous
-                // activate has elapsed, so it may start later than `start`.
-                let precharge_at = start.max(Cycle::new(
-                    self.ras_ready.raw().saturating_sub(t.t_rp.raw()),
-                ));
-                let precharge_done = precharge_at + t.t_rp;
-                let activate_done = precharge_done + t.t_rcd;
-                self.ras_ready = activate_done + t.t_ras;
-                self.row_buffers.insert(row);
-                let cmds = CmdTimes {
-                    precharge_at: Some(precharge_at),
-                    activate_at: Some(precharge_done),
-                    column_at: activate_done,
-                };
-                if is_write {
-                    let accepted = activate_done + t.t_ccd;
-                    (accepted, accepted + t.t_wr, false, cmds)
-                } else {
-                    (
-                        activate_done + t.t_cas,
-                        activate_done + t.t_ccd,
-                        false,
-                        cmds,
-                    )
-                }
+        } else {
+            self.row_misses += 1;
+            self.activates += 1;
+            if self.config.smart_refresh {
+                self.row_last_activate.insert(row, start);
+            }
+            // Precharge cannot complete before tRAS from the previous
+            // activate has elapsed, so it may start later than `start`.
+            let precharge_at = start.max(Cycle::new(
+                self.ras_ready.raw().saturating_sub(t.t_rp.raw()),
+            ));
+            let precharge_done = precharge_at + t.t_rp;
+            let activate_done = precharge_done + t.t_rcd;
+            self.ras_ready = activate_done + t.t_ras;
+            // A full set evicts its least recently used row, which DRAM's
+            // destructive reads have already restored to the array.
+            open_rows.insert_in(set, row, false);
+            let cmds = CmdTimes {
+                precharge_at: Some(precharge_at),
+                activate_at: Some(precharge_done),
+                column_at: activate_done,
+            };
+            if is_write {
+                let accepted = activate_done + t.t_ccd;
+                (accepted, accepted + t.t_wr, false, cmds)
+            } else {
+                (
+                    activate_done + t.t_cas,
+                    activate_done + t.t_ccd,
+                    false,
+                    cmds,
+                )
             }
         };
         if is_write {
@@ -328,7 +305,7 @@ impl Bank {
             self.reads += 1;
         }
         self.busy_cycles += (bank_free - start).raw();
-        self.busy_until = bank_free;
+        *busy_until = bank_free;
         AccessResult {
             data_ready,
             row_hit,
@@ -340,9 +317,15 @@ impl Bank {
     /// Closed-page access: the bank is already precharged, so the access
     /// activates immediately (no tRP up front) but auto-precharges after,
     /// occupying the bank for a full row cycle (tRAS + tRP from activate).
-    fn access_closed(&mut self, row: u64, now: Cycle, is_write: bool) -> AccessResult {
+    fn access_closed(
+        &mut self,
+        busy_until: &mut Cycle,
+        row: u64,
+        now: Cycle,
+        is_write: bool,
+    ) -> AccessResult {
         let t = *self.config.timing();
-        let start = now.max(self.busy_until);
+        let start = now.max(*busy_until);
         self.row_misses += 1;
         self.activates += 1;
         if self.config.smart_refresh {
@@ -364,7 +347,7 @@ impl Bank {
             self.reads += 1;
         }
         self.busy_cycles += (bank_free - start).raw();
-        self.busy_until = bank_free;
+        *busy_until = bank_free;
         AccessResult {
             data_ready,
             row_hit: false,
@@ -377,8 +360,15 @@ impl Bank {
         }
     }
 
-    /// Applies any refreshes that became due at or before `now`.
-    fn catch_up_refresh(&mut self, now: Cycle) {
+    /// Applies any refreshes that became due at or before `now`, with the
+    /// same lent state as [`access`](Self::access).
+    fn catch_up_refresh(
+        &mut self,
+        busy_until: &mut Cycle,
+        open_rows: &mut LruSets,
+        set: usize,
+        now: Cycle,
+    ) {
         let Some(interval) = self.config.refresh_interval else {
             return;
         };
@@ -406,10 +396,10 @@ impl Bank {
                 }
             }
             // The refresh occupies the bank and closes all open rows.
-            let start = due.max(self.busy_until);
-            self.busy_until = start + refresh_busy;
+            let start = due.max(*busy_until);
+            *busy_until = start + refresh_busy;
             self.busy_cycles += refresh_busy.raw();
-            self.row_buffers.flush();
+            open_rows.clear_set(set);
             self.refreshes += 1;
             if let Some(log) = self.refresh_log.as_mut() {
                 log.push((row, start));
@@ -417,32 +407,17 @@ impl Bank {
         }
     }
 
-    /// Turns refresh-event logging on or off. While enabled, every refresh
-    /// the bank performs is recorded as `(row, start_cycle)` until drained
-    /// with [`take_refresh_log`](Self::take_refresh_log) — how the memory
-    /// controller folds REF commands into its traced command stream.
-    /// Disabled by default; turning logging off discards buffered events.
-    pub fn set_refresh_logging(&mut self, enabled: bool) {
+    /// See [`Banks::set_refresh_logging`](crate::Banks::set_refresh_logging).
+    pub(crate) fn set_refresh_logging(&mut self, enabled: bool) {
         self.refresh_log = if enabled { Some(Vec::new()) } else { None };
     }
 
-    /// Removes and returns the buffered refresh events (empty if logging is
-    /// disabled). Logging stays enabled if it was.
-    pub fn take_refresh_log(&mut self) -> Vec<(u64, Cycle)> {
+    /// See [`Banks::take_refresh_log`](crate::Banks::take_refresh_log).
+    pub(crate) fn take_refresh_log(&mut self) -> Vec<(u64, Cycle)> {
         match self.refresh_log.as_mut() {
             Some(log) => std::mem::take(log),
             None => Vec::new(), // simlint::allow(H001, reason = "capacity-0 Vec::new does not touch the heap; the Some arm recycles the log's own buffer")
         }
-    }
-
-    /// When the bank can accept its next command.
-    pub const fn busy_until(&self) -> Cycle {
-        self.busy_until
-    }
-
-    /// The bank's row-buffer cache (for inspection).
-    pub const fn row_buffers(&self) -> &RowBufferCache {
-        &self.row_buffers
     }
 
     /// Number of rows.
@@ -494,13 +469,52 @@ impl Bank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stacksim_types::DramTiming;
+    use crate::Banks;
+    use core::ops::Deref;
+    use stacksim_types::{BankId, DramTiming};
 
     const HZ: f64 = 3.333e9;
 
-    fn bank(entries: usize) -> Bank {
+    /// One bank in a one-bank store, driven like a standalone bank.
+    struct Solo(Banks);
+
+    impl Solo {
+        fn new(config: BankConfig, rows: u64) -> Self {
+            Solo(Banks::new(config, 1, 1, rows))
+        }
+
+        fn read(&mut self, row: u64, now: Cycle) -> AccessResult {
+            self.0.read(0, BankId::new(0), row, now)
+        }
+
+        fn write(&mut self, row: u64, now: Cycle) -> AccessResult {
+            self.0.write(0, BankId::new(0), row, now)
+        }
+
+        fn busy_until(&self) -> Cycle {
+            self.0.bank_free_at(0, BankId::new(0))
+        }
+
+        fn set_refresh_logging(&mut self, enabled: bool) {
+            self.0.set_refresh_logging(enabled);
+        }
+
+        fn take_refresh_log(&mut self) -> Vec<(u64, Cycle)> {
+            self.0.take_refresh_log(0, BankId::new(0))
+        }
+    }
+
+    impl Deref for Solo {
+        type Target = Bank;
+
+        fn deref(&self) -> &Bank {
+            self.0.bank(0, BankId::new(0))
+        }
+    }
+
+    fn bank(entries: usize) -> Solo {
         let cfg = BankConfig::new(DramTiming::COMMODITY_2D.to_cycles(HZ), entries, None);
-        Bank::new(cfg, 1024)
+        Solo::new(cfg, 1024)
     }
 
     #[test]
@@ -579,8 +593,8 @@ mod tests {
     fn true_3d_timing_is_faster() {
         let cfg2d = BankConfig::new(DramTiming::COMMODITY_2D.to_cycles(HZ), 1, None);
         let cfg3d = BankConfig::new(DramTiming::TRUE_3D.to_cycles(HZ), 1, None);
-        let mut b2 = Bank::new(cfg2d, 64);
-        let mut b3 = Bank::new(cfg3d, 64);
+        let mut b2 = Solo::new(cfg2d, 64);
+        let mut b3 = Solo::new(cfg3d, 64);
         let r2 = b2.read(0, Cycle::ZERO);
         let r3 = b3.read(0, Cycle::ZERO);
         assert!(r3.data_ready < r2.data_ready);
@@ -590,7 +604,7 @@ mod tests {
     fn refresh_steals_bank_time_and_closes_rows() {
         let timing = DramTiming::COMMODITY_2D.to_cycles(HZ);
         let cfg = BankConfig::new(timing, 1, Some(Cycles::new(1000)));
-        let mut b = Bank::new(cfg, 64);
+        let mut b = Solo::new(cfg, 64);
         let r1 = b.read(1, Cycle::ZERO);
         assert!(!r1.row_hit);
         // Access long after several refresh intervals: rows were closed.
@@ -604,7 +618,7 @@ mod tests {
         let timing = DramTiming::COMMODITY_2D.to_cycles(HZ);
         let refresh_busy = timing.t_ras + timing.t_rp;
         let cfg = BankConfig::new(timing, 1, Some(Cycles::new(1000)));
-        let mut b = Bank::new(cfg, 64);
+        let mut b = Solo::new(cfg, 64);
         // Arrive exactly when a refresh is due: the access waits it out.
         let r = b.read(1, Cycle::new(1000));
         let undisturbed = Cycle::new(1000) + timing.t_rp + timing.t_rcd + timing.t_cas;
@@ -616,8 +630,8 @@ mod tests {
         let timing = DramTiming::COMMODITY_2D.to_cycles(HZ);
         let open = BankConfig::new(timing, 1, None);
         let closed = open.with_page_policy(PagePolicy::Closed);
-        let mut open_bank = Bank::new(open, 1024);
-        let mut closed_bank = Bank::new(closed, 1024);
+        let mut open_bank = Solo::new(open, 1024);
+        let mut closed_bank = Solo::new(closed, 1024);
         // First access to a row: closed page skips the up-front precharge.
         let ro = open_bank.read(5, Cycle::ZERO);
         let rc = closed_bank.read(5, Cycle::ZERO);
@@ -646,7 +660,7 @@ mod tests {
         // Tiny bank (4 rows) with a short interval: every row's refresh
         // comes due frequently.
         let make = |smart: bool| {
-            Bank::new(
+            Solo::new(
                 BankConfig::new(timing, 1, Some(Cycles::new(500))).with_smart_refresh(smart),
                 4,
             )
@@ -675,7 +689,7 @@ mod tests {
     fn smart_refresh_still_refreshes_idle_rows() {
         let timing = DramTiming::COMMODITY_2D.to_cycles(HZ);
         let cfg = BankConfig::new(timing, 1, Some(Cycles::new(100))).with_smart_refresh(true);
-        let mut b = Bank::new(cfg, 4);
+        let mut b = Solo::new(cfg, 4);
         // Touch only row 0, then come back much later: rows 1-3 (and
         // eventually 0, once its activation ages out) must still refresh.
         b.read(0, Cycle::ZERO);
@@ -711,8 +725,8 @@ mod tests {
         assert!(BankConfig::try_new(t, 0, None).is_err());
         assert!(BankConfig::try_new(t, 1, Some(Cycles::ZERO)).is_err());
         let cfg = BankConfig::try_new(t, 1, None).unwrap();
-        assert!(Bank::try_new(cfg, 0).is_err());
-        assert!(Bank::try_new(cfg, 4).is_ok());
+        assert!(Banks::try_new(cfg, 1, 1, 0).is_err());
+        assert!(Banks::try_new(cfg, 1, 1, 4).is_ok());
     }
 
     #[test]
@@ -752,7 +766,7 @@ mod tests {
     fn closed_page_command_times() {
         let timing = DramTiming::COMMODITY_2D.to_cycles(HZ);
         let cfg = BankConfig::new(timing, 1, None).with_page_policy(PagePolicy::Closed);
-        let mut b = Bank::new(cfg, 64);
+        let mut b = Solo::new(cfg, 64);
         let r = b.read(9, Cycle::ZERO);
         assert_eq!(r.cmds.activate_at, Some(Cycle::ZERO));
         assert_eq!(r.cmds.column_at, Cycle::ZERO + timing.t_rcd);
@@ -767,7 +781,7 @@ mod tests {
     fn refresh_log_records_performed_refreshes() {
         let timing = DramTiming::COMMODITY_2D.to_cycles(HZ);
         let cfg = BankConfig::new(timing, 1, Some(Cycles::new(1000)));
-        let mut b = Bank::new(cfg, 64);
+        let mut b = Solo::new(cfg, 64);
         b.set_refresh_logging(true);
         b.read(1, Cycle::new(3500));
         let log = b.take_refresh_log();

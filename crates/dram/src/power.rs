@@ -96,7 +96,8 @@ impl EnergyReport {
 mod tests {
     use super::*;
     use crate::bank::BankConfig;
-    use stacksim_types::{Cycle, DramTiming};
+    use crate::Banks;
+    use stacksim_types::{BankId, Cycle, DramTiming};
 
     fn active_bank(row_buffers: usize, accesses: &[u64]) -> Bank {
         let cfg = BankConfig::new(
@@ -104,13 +105,13 @@ mod tests {
             row_buffers,
             None,
         );
-        let mut b = Bank::new(cfg, 1024);
+        let mut b = Banks::new(cfg, 1, 1, 1024);
         let mut now = Cycle::ZERO;
         for &row in accesses {
-            let r = b.read(row, now);
+            let r = b.read(0, BankId::new(0), row, now);
             now = r.bank_free;
         }
-        b
+        b.bank(0, BankId::new(0)).clone()
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use std::collections::VecDeque;
 
-use stacksim_dram::{
-    AccessResult, Bank, BankConfig, BankTickState, DramCmd, DramCmdKind, PagePolicy, Rank,
-};
+use stacksim_dram::{AccessResult, Bank, BankConfig, Banks, DramCmd, DramCmdKind, PagePolicy};
 use stacksim_stats::{Histogram, MetricsSink, RunningStats};
 use stacksim_types::{BusConfig, ConfigError, Cycle, Cycles, DramTimingCycles, McId, LINE_BYTES};
 
@@ -67,10 +65,9 @@ pub struct Completion {
 pub struct MemoryController {
     id: McId,
     config: McConfig,
-    ranks: Vec<Rank>,
-    /// Flat mirror of the per-bank fields the scheduler scans every tick
-    /// (see [`BankTickState`]); resynced after every mutating DRAM access.
-    banks: BankTickState,
+    /// Every bank of the channel's ranks, in the flat layout the scheduler
+    /// scans every tick.
+    banks: Banks,
     /// Bus occupancy of one cache line, hoisted out of the tick path
     /// (derived from `config.bus`, validated at construction).
     line_transfer: Cycles,
@@ -118,9 +115,6 @@ impl MemoryController {
         if config.queue_capacity == 0 {
             return Err(ConfigError::new("queue capacity must be non-zero"));
         }
-        if config.ranks == 0 {
-            return Err(ConfigError::new("controller needs at least one rank"));
-        }
         let bank_cfg = BankConfig::try_new(
             config.timing,
             config.row_buffer_entries,
@@ -128,15 +122,16 @@ impl MemoryController {
         )?
         .with_smart_refresh(config.smart_refresh)
         .with_page_policy(config.page_policy);
-        let ranks: Vec<Rank> = (0..config.ranks)
-            .map(|_| Rank::try_new(bank_cfg, config.banks_per_rank, config.rows_per_bank))
-            .collect::<Result<_, _>>()?;
-        let banks = BankTickState::new(&ranks);
+        let banks = Banks::try_new(
+            bank_cfg,
+            config.ranks,
+            config.banks_per_rank,
+            config.rows_per_bank,
+        )?;
         let line_transfer = config.bus.transfer_cycles(LINE_BYTES as u32)?;
         Ok(MemoryController {
             id,
             config,
-            ranks,
             banks,
             line_transfer,
             issue_blocked_until: Cycle::ZERO,
@@ -240,11 +235,13 @@ impl MemoryController {
             .queue
             .remove(idx)
             .expect("scheduler picked a valid index"); // simlint::allow(P002, reason = "the scheduler just selected idx from this queue")
-        let rank = &mut self.ranks[request.location.rank_in_mc as usize];
+        let rank = request.location.rank_in_mc as usize;
         let transfer = self.line_transfer;
         let (finished, access) = match request.kind {
             RequestKind::Read => {
-                let access = rank.read(request.location.bank, request.location.row, now);
+                let access =
+                    self.banks
+                        .read(rank, request.location.bank, request.location.row, now);
                 // Data returns over the channel bus once the array delivers.
                 let bus_start = access.data_ready.max(self.bus_free);
                 let done = bus_start + transfer;
@@ -266,20 +263,14 @@ impl MemoryController {
                 let bus_done = bus_start + transfer;
                 self.bus_free = bus_done;
                 self.bus_busy += transfer.raw();
-                let access = rank.write(request.location.bank, request.location.row, bus_done);
+                let access =
+                    self.banks
+                        .write(rank, request.location.bank, request.location.row, bus_done);
                 (access.bank_free, access)
             }
         };
         // Issuing changed bank state and the queue: drop the scan-skip memo.
         self.issue_blocked_until = Cycle::ZERO;
-        // The access (and any lazy refresh catch-up inside it) changed this
-        // bank's busy window and open rows: refresh its mirror entry.
-        let rank_idx = request.location.rank_in_mc as usize;
-        self.banks.sync_bank(
-            rank_idx,
-            request.location.bank,
-            self.ranks[rank_idx].bank(request.location.bank),
-        );
         let row_hit = access.row_hit;
         self.issued += 1;
         if row_hit {
@@ -353,9 +344,9 @@ impl MemoryController {
         self.queue_depth.record_n(self.queue.len() as u64, ticks);
     }
 
-    /// Shared view of this controller's ranks.
-    pub fn ranks(&self) -> &[Rank] {
-        &self.ranks
+    /// Shared view of the banks of this controller's ranks.
+    pub const fn banks(&self) -> &Banks {
+        &self.banks
     }
 
     /// Turns DRAM command tracing on or off. While enabled, every issued
@@ -366,9 +357,7 @@ impl MemoryController {
     /// buffered commands.
     pub fn set_cmd_tracing(&mut self, enabled: bool) {
         self.cmd_trace = if enabled { Some(Vec::new()) } else { None };
-        for rank in &mut self.ranks {
-            rank.set_refresh_logging(enabled);
-        }
+        self.banks.set_refresh_logging(enabled);
     }
 
     /// The commands buffered so far, if tracing is enabled.
@@ -399,7 +388,7 @@ impl MemoryController {
     fn trace_issue(&mut self, request: &MemRequest, access: &AccessResult) {
         let rank_idx = request.location.rank_in_mc as usize;
         let bank_idx = request.location.bank.index();
-        let refreshes = self.ranks[rank_idx].take_refresh_log(request.location.bank);
+        let refreshes = self.banks.take_refresh_log(rank_idx, request.location.bank);
         let trace = self.cmd_trace.as_mut().expect("checked by caller"); // simlint::allow(P002, reason = "trace_issue is only called when command tracing is enabled")
         for (row, at) in refreshes {
             trace.push(DramCmd {
@@ -461,8 +450,7 @@ impl MemoryController {
         if let Some(d) = self.queue_depth.mean() {
             node.gauge("avg_queue_depth", d);
         }
-        let per_rank = |rank: &Rank, f: fn(&Bank) -> u64| rank.banks().map(f).sum::<u64>();
-        let all = |f| self.ranks.iter().map(|rank| per_rank(rank, f)).sum::<u64>();
+        let all = |f: fn(&Bank) -> u64| self.banks.iter().map(f).sum::<u64>();
         node.counter("ranks.reads", all(Bank::reads));
         node.counter("ranks.writes", all(Bank::writes));
         node.counter("ranks.row_hits", all(Bank::row_hits));
@@ -473,9 +461,10 @@ impl MemoryController {
         // Known defect, kept because stackbench/expected pins it: this is
         // the sum of each rank's row-hit rate, not a rate.
         let mut rate_sum = None;
-        for rank in &self.ranks {
-            let hits = per_rank(rank, Bank::row_hits) as f64;
-            let total = hits + per_rank(rank, Bank::row_misses) as f64;
+        for rank in self.banks.ranks() {
+            let per_rank = |f: fn(&Bank) -> u64| rank.iter().map(f).sum::<u64>();
+            let hits = per_rank(Bank::row_hits) as f64;
+            let total = hits + per_rank(Bank::row_misses) as f64;
             if total > 0.0 {
                 *rate_sum.get_or_insert(0.0) += hits / total;
             }
@@ -613,12 +602,7 @@ mod tests {
         assert!(done.iter().any(|c| c.row_hit));
         assert_eq!(mc.issued, 2);
         assert_eq!(mc.row_hits, 1);
-        let reads: u64 = mc
-            .ranks()
-            .iter()
-            .flat_map(Rank::banks)
-            .map(Bank::reads)
-            .sum();
+        let reads: u64 = mc.banks().iter().map(Bank::reads).sum();
         assert_eq!(reads, 2);
     }
 

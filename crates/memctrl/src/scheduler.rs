@@ -1,7 +1,7 @@
 //! Memory request scheduling policies.
 
 use core::fmt;
-use stacksim_dram::BankTickState;
+use stacksim_dram::Banks;
 use stacksim_types::Cycle;
 
 use crate::request::MemRequest;
@@ -52,9 +52,9 @@ impl fmt::Display for SchedulerPolicy {
 impl SchedulerPolicy {
     /// Picks the queue index of the request to issue at `now`, or `None` if
     /// no request's bank can accept a command yet. `banks` is the
-    /// controller's flat [`BankTickState`] mirror, indexed by
-    /// `location.rank_in_mc` and `location.bank`.
-    pub fn pick(&self, queue: &[MemRequest], banks: &BankTickState, now: Cycle) -> Option<usize> {
+    /// controller's bank store, indexed by `location.rank_in_mc` and
+    /// `location.bank`.
+    pub fn pick(&self, queue: &[MemRequest], banks: &Banks, now: Cycle) -> Option<usize> {
         let ready = |req: &MemRequest| {
             banks.bank_free_at(req.location.rank_in_mc as usize, req.location.bank) <= now
         };
@@ -96,7 +96,7 @@ impl SchedulerPolicy {
     pub fn earliest_ready<'a>(
         &self,
         mut queue: impl Iterator<Item = &'a MemRequest>,
-        banks: &BankTickState,
+        banks: &Banks,
     ) -> Option<Cycle> {
         let free_at = |req: &MemRequest| {
             banks.bank_free_at(req.location.rank_in_mc as usize, req.location.bank)
@@ -111,16 +111,16 @@ impl SchedulerPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stacksim_dram::{BankConfig, Rank};
+    use stacksim_dram::BankConfig;
     use stacksim_types::{AddressMapper, BankId, CoreId, DramTiming, MemoryGeometry, PhysAddr};
 
     use crate::request::RequestKind;
 
-    fn setup() -> (Vec<Rank>, AddressMapper) {
+    fn setup() -> (Banks, AddressMapper) {
         let cfg = BankConfig::new(DramTiming::COMMODITY_2D.to_cycles(3.333e9), 1, None);
-        let ranks = vec![Rank::new(cfg, 8, 1 << 15)];
+        let banks = Banks::new(cfg, 1, 8, 1 << 15);
         let geom = MemoryGeometry::new(8 << 30, 1, 8, 4096, 1).unwrap();
-        (ranks, AddressMapper::new(geom))
+        (banks, AddressMapper::new(geom))
     }
 
     fn req(mapper: &AddressMapper, page: u64, arrival: u64) -> MemRequest {
@@ -137,16 +137,21 @@ mod tests {
 
     #[test]
     fn frfcfs_prefers_open_row() {
-        let (mut ranks, mapper) = setup();
-        // Open the row of page 8 (same bank geometry: page p -> bank p%8).
-        let loc = mapper.decode(PhysAddr::new(8 * 4096));
-        ranks[0].read(loc.bank, loc.row, Cycle::ZERO);
-        let free = ranks[0].bank_free_at(loc.bank);
-        let banks = BankTickState::new(&ranks);
-
+        let (mut banks, mapper) = setup();
         // Queue: older request to a *different* bank's row (closed), newer
-        // request that hits the open row.
+        // request to page 8's row (page p -> bank p%8).
         let q = vec![req(&mapper, 1, 0), req(&mapper, 8, 5)];
+        assert_eq!(
+            SchedulerPolicy::FrFcfs.pick(&q, &banks, Cycle::ZERO),
+            Some(0),
+            "no row open yet: oldest first"
+        );
+
+        // Open page 8's row through the store the scheduler reads.
+        let loc = q[1].location;
+        let free = banks
+            .read(loc.rank_in_mc as usize, loc.bank, loc.row, Cycle::ZERO)
+            .bank_free;
         let pick = SchedulerPolicy::FrFcfs.pick(&q, &banks, free).unwrap();
         assert_eq!(pick, 1, "row hit should be scheduled first");
 
@@ -157,24 +162,30 @@ mod tests {
 
     #[test]
     fn busy_banks_block_requests() {
-        let (mut ranks, mapper) = setup();
-        let loc = mapper.decode(PhysAddr::new(3 * 4096));
-        ranks[0].read(loc.bank, loc.row, Cycle::ZERO); // bank 3 busy for a while
-        let banks = BankTickState::new(&ranks);
+        let (mut banks, mapper) = setup();
         let q = vec![req(&mapper, 3, 0)];
+        assert_eq!(
+            SchedulerPolicy::FrFcfs.pick(&q, &banks, Cycle::new(1)),
+            Some(0)
+        );
+        let loc = q[0].location;
+        banks.read(loc.rank_in_mc as usize, loc.bank, loc.row, Cycle::ZERO); // bank 3 busy for a while
         assert_eq!(
             SchedulerPolicy::FrFcfs.pick(&q, &banks, Cycle::new(1)),
             None
         );
         assert_eq!(SchedulerPolicy::Fifo.pick(&q, &banks, Cycle::new(1)), None);
-        let free = ranks[0].bank_free_at(BankId::new(3));
+        let free = banks.bank_free_at(0, BankId::new(3));
+        assert_eq!(
+            SchedulerPolicy::FrFcfs.earliest_ready(q.iter(), &banks),
+            Some(free)
+        );
         assert_eq!(SchedulerPolicy::FrFcfs.pick(&q, &banks, free), Some(0));
     }
 
     #[test]
     fn frfcfs_falls_back_to_oldest_ready() {
-        let (ranks, mapper) = setup();
-        let banks = BankTickState::new(&ranks);
+        let (banks, mapper) = setup();
         // No rows open anywhere: oldest ready request wins.
         let q = vec![req(&mapper, 2, 0), req(&mapper, 3, 1)];
         assert_eq!(
@@ -185,8 +196,7 @@ mod tests {
 
     #[test]
     fn empty_queue_picks_nothing() {
-        let (ranks, _) = setup();
-        let banks = BankTickState::new(&ranks);
+        let (banks, _) = setup();
         assert_eq!(SchedulerPolicy::FrFcfs.pick(&[], &banks, Cycle::ZERO), None);
     }
 

@@ -124,13 +124,20 @@ fn main() -> ExitCode {
         opts.seeds.end,
         opts.jobs
     );
-    let failures: Vec<Repro> = parallel_map(opts.jobs, &seeds, |seed| fuzz::fuzz_one(*seed))
-        .into_iter()
-        .flatten()
-        .collect();
+    let outcomes = parallel_map(opts.jobs, &seeds, |seed| fuzz::fuzz_one(*seed));
+    let zero_commit_seeds = outcomes
+        .iter()
+        .filter(|o| o.as_ref().is_ok_and(|cores| !cores.is_empty()))
+        .count();
+    let failures: Vec<Repro> = outcomes.into_iter().filter_map(Result::err).collect();
+    // A core that commits nothing in the window leaves the fast-forward
+    // check nothing to compare for it: count such seeds rather than let
+    // the per-run warnings scroll past.
+    let zero_commit =
+        format!("{zero_commit_seeds} passing seed(s) had a core that committed nothing");
 
     if failures.is_empty() {
-        println!("all {} seed(s) passed", seeds.len());
+        println!("all {} seed(s) passed; {zero_commit}", seeds.len());
         return ExitCode::SUCCESS;
     }
     for repro in &failures {
@@ -144,6 +151,10 @@ fn main() -> ExitCode {
         ),
         Err(e) => eprintln!("simfuzz: cannot write {out}: {e}"),
     }
-    println!("{} of {} seed(s) failed", failures.len(), seeds.len());
+    println!(
+        "{} of {} seed(s) failed; {zero_commit}",
+        failures.len(),
+        seeds.len()
+    );
     ExitCode::FAILURE
 }

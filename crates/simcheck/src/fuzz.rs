@@ -263,13 +263,15 @@ fn machine_metrics(result: &RunResult) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Runs every check against `case`.
+/// Runs every check against `case`. On a pass, returns the cores that
+/// committed nothing in the measured window: for those, the fast-forward
+/// comparison covered no committed µop.
 ///
 /// # Errors
 ///
 /// Returns the first [`FuzzFailure`] detected.
 #[must_use = "Ok means the case passed; dropping the result hides failures"]
-pub fn run_case(case: &FuzzCase) -> Result<(), FuzzFailure> {
+pub fn run_case(case: &FuzzCase) -> Result<Vec<usize>, FuzzFailure> {
     // 1. Differential MSHR oracle on the sampled organization.
     let params = StreamParams {
         entries: case.cfg.mshr_entries_per_bank().max(1),
@@ -324,7 +326,7 @@ pub fn run_case(case: &FuzzCase) -> Result<(), FuzzFailure> {
             first: violations.iter().take(5).map(|v| v.to_string()).collect(),
         });
     }
-    Ok(())
+    Ok(fast.zero_commit_cores)
 }
 
 /// A named simplifying transformation used by the shrinker.
@@ -500,20 +502,28 @@ pub fn materialize(repro: &Repro) -> Result<FuzzCase, String> {
 #[must_use = "Ok means the repro passed; dropping the result hides failures"]
 pub fn replay(repro: &Repro) -> Result<(), FuzzFailure> {
     let case = materialize(repro).map_err(FuzzFailure::Config)?;
-    run_case(&case)
+    run_case(&case).map(drop)
 }
 
 /// Fuzzes one seed end to end: generate, check, shrink, package.
-/// Returns `None` when the seed passes (the healthy outcome).
-pub fn fuzz_one(seed: u64) -> Option<Repro> {
+/// Returns the passing case's zero-commit cores (see [`run_case`]), or
+/// the failure's [`Repro`].
+///
+/// # Errors
+///
+/// Returns the [`Repro`] of a failing seed.
+pub fn fuzz_one(seed: u64) -> Result<Vec<usize>, Repro> {
     let case = generate(seed);
-    let failure = run_case(&case).err()?;
+    let failure = match run_case(&case) {
+        Ok(zero_commit_cores) => return Ok(zero_commit_cores),
+        Err(failure) => failure,
+    };
     let (shrunk, ops) = shrink(&case, &failure);
     // Report the failure of the *shrunk* case (same class, usually a
     // shorter message); fall back to the original if shrinking somehow
     // repaired it.
     let failure = run_case(&shrunk).err().unwrap_or(failure);
-    Some(Repro {
+    Err(Repro {
         seed,
         shrink_ops: ops.iter().map(|s| s.to_string()).collect(),
         failure: failure.to_string(),

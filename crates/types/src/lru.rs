@@ -16,13 +16,14 @@ const KEY: u64 = FLAG - 1;
 /// slots, so the least-recently-used key is always the last resident one
 /// and no recency stamp is stored. A slot holds `key + 1` (0 means empty,
 /// so a new store is untouched zero pages), with the caller's flag in
-/// bit 63. Keys are placed in set `key % sets`.
+/// bit 63. Keys are placed in set `key % sets`, unless the caller names
+/// the set through the `*_in` calls (one set per DRAM bank).
 ///
-/// Nothing is ever removed: a set fills front to back and then only
-/// permutes or replaces its keys. The store therefore behaves exactly like
-/// any other true-LRU store that fills an empty way whenever one exists,
-/// whatever way positions that store would pick — no caller can observe a
-/// way's index.
+/// A set is only ever emptied whole ([`clear_set`](Self::clear_set)):
+/// otherwise it fills front to back and then only permutes or replaces
+/// its keys. The store therefore behaves exactly like any other true-LRU
+/// store that fills an empty way whenever one exists, whatever way
+/// positions that store would pick — no caller can observe a way's index.
 ///
 /// # Examples
 ///
@@ -57,29 +58,45 @@ impl LruSets {
         }
     }
 
-    /// The slot encoding of `key`, and the set it lives in.
+    /// The set `key` lives in.
     #[inline]
-    fn locate(&self, key: u64) -> (u64, usize) {
+    fn set_of(&self, key: u64) -> usize {
+        (key % self.sets as u64) as usize
+    }
+
+    /// The slot encoding of `key`, and the slots of `set`.
+    #[inline]
+    fn slots_of(&self, set: usize, key: u64) -> (u64, core::ops::Range<usize>) {
         debug_assert!(key < KEY, "key {key:#x} collides with the flag bit");
-        let base = (key % self.sets as u64) as usize * self.ways;
-        (key + 1, base)
+        (key + 1, set * self.ways..(set + 1) * self.ways)
     }
 
     /// Whether `key` is resident (no recency update).
     #[inline]
     pub fn contains(&self, key: u64) -> bool {
-        let (enc, base) = self.locate(key);
-        self.slots[base..base + self.ways]
-            .iter()
-            .any(|&s| s & KEY == enc)
+        self.contains_in(self.set_of(key), key)
+    }
+
+    /// Whether `key` is resident in `set` (no recency update).
+    #[inline]
+    pub fn contains_in(&self, set: usize, key: u64) -> bool {
+        let (enc, slots) = self.slots_of(set, key);
+        self.slots[slots].iter().any(|&s| s & KEY == enc)
     }
 
     /// Looks `key` up; if it is resident, makes it the most recently used
     /// key of its set, sets its flag when `flag` is true, and returns true.
     #[inline]
     pub fn touch(&mut self, key: u64, flag: bool) -> bool {
-        let (enc, base) = self.locate(key);
-        let set = &mut self.slots[base..base + self.ways];
+        self.touch_in(self.set_of(key), key, flag)
+    }
+
+    /// [`touch`](Self::touch) with the set given by the caller instead of
+    /// derived from `key`.
+    #[inline]
+    pub fn touch_in(&mut self, set: usize, key: u64, flag: bool) -> bool {
+        let (enc, slots) = self.slots_of(set, key);
+        let set = &mut self.slots[slots];
         match set.iter().position(|&s| s & KEY == enc) {
             Some(i) => {
                 let slot = set[i] | flag_bit(flag);
@@ -93,11 +110,8 @@ impl LruSets {
     /// Sets `key`'s flag if it is resident, without a recency update.
     /// Returns whether it was resident.
     pub fn set_flag(&mut self, key: u64) -> bool {
-        let (enc, base) = self.locate(key);
-        match self.slots[base..base + self.ways]
-            .iter_mut()
-            .find(|s| **s & KEY == enc)
-        {
+        let (enc, slots) = self.slots_of(self.set_of(key), key);
+        match self.slots[slots].iter_mut().find(|s| **s & KEY == enc) {
             Some(s) => {
                 *s |= FLAG;
                 true
@@ -112,8 +126,15 @@ impl LruSets {
     /// least recently used key, which is returned with its flag.
     #[inline]
     pub fn insert(&mut self, key: u64, flag: bool) -> Option<(u64, bool)> {
-        let (enc, base) = self.locate(key);
-        let set = &mut self.slots[base..base + self.ways];
+        self.insert_in(self.set_of(key), key, flag)
+    }
+
+    /// [`insert`](Self::insert) with the set given by the caller instead
+    /// of derived from `key`.
+    #[inline]
+    pub fn insert_in(&mut self, set: usize, key: u64, flag: bool) -> Option<(u64, bool)> {
+        let (enc, slots) = self.slots_of(set, key);
+        let set = &mut self.slots[slots];
         let i = set
             .iter()
             .position(|&s| s == 0 || s & KEY == enc)
@@ -123,6 +144,11 @@ impl LruSets {
         let slot = if resident { old } else { enc } | flag_bit(flag);
         promote(set, i, slot);
         (!resident && old != 0).then(|| ((old & KEY) - 1, old & FLAG != 0))
+    }
+
+    /// Empties `set` (a DRAM refresh closing a bank's open rows).
+    pub fn clear_set(&mut self, set: usize) {
+        self.slots[set * self.ways..(set + 1) * self.ways].fill(0);
     }
 
     /// Number of resident keys.
@@ -213,5 +239,50 @@ mod tests {
         s.insert(big, true);
         assert!(s.contains(big));
         assert_eq!(s.insert(big - 5, false), Some((big, true)));
+    }
+
+    #[test]
+    fn set_explicit_calls_use_the_named_set() {
+        // Key 0 would live in set 0; the `*_in` calls put it in set 1.
+        let mut s = LruSets::new(2, 2);
+        assert_eq!(s.insert_in(1, 0, false), None);
+        assert!(s.contains_in(1, 0));
+        assert!(!s.contains_in(0, 0));
+        assert!(!s.contains(0));
+        assert!(!s.touch_in(0, 0, false));
+        assert_eq!(s.insert_in(1, 2, false), None);
+        assert!(s.touch_in(1, 0, true));
+        // 2 is least recently used in set 1; set 0 is untouched.
+        assert_eq!(s.insert_in(1, 4, false), Some((2, false)));
+        assert_eq!(s.insert_in(1, 6, false), Some((0, true)));
+        assert_eq!(s.resident(), 2);
+    }
+
+    #[test]
+    fn lru_eviction_order_in_a_named_set() {
+        let mut s = LruSets::new(4, 3);
+        for row in 1..=3 {
+            assert_eq!(s.insert_in(2, row, false), None);
+        }
+        // Touch 1 so 2 becomes least recently used.
+        assert!(s.touch_in(2, 1, false));
+        assert_eq!(s.insert_in(2, 4, false), Some((2, false)));
+        assert!(s.contains_in(2, 1) && s.contains_in(2, 3) && s.contains_in(2, 4));
+    }
+
+    #[test]
+    fn clear_set_empties_only_that_set() {
+        let mut s = LruSets::new(2, 2);
+        s.insert_in(0, 1, false);
+        s.insert_in(0, 2, false);
+        s.insert_in(1, 1, false);
+        s.clear_set(0);
+        assert!(!s.contains_in(0, 1) && !s.contains_in(0, 2));
+        assert!(s.contains_in(1, 1));
+        assert_eq!(s.resident(), 1);
+        // The emptied set fills front to back again before evicting.
+        assert_eq!(s.insert_in(0, 3, false), None);
+        assert_eq!(s.insert_in(0, 4, false), None);
+        assert_eq!(s.insert_in(0, 5, false), Some((3, false)));
     }
 }

@@ -130,7 +130,7 @@ pub struct DramLocation {
     pub mc: McId,
     /// Global rank identifier.
     pub rank: RankId,
-    /// Rank index local to the owning MC (`rank.index() / mcs`).
+    /// The rank's index local to the owning MC (`rank.index() / mcs`).
     pub rank_in_mc: u16,
     /// Bank within the rank.
     pub bank: BankId,

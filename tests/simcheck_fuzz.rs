@@ -7,7 +7,7 @@ use stacksim_simcheck::fuzz::{fuzz_one, generate, materialize, run_case, FuzzFai
 #[test]
 fn fixed_seed_range_passes_all_oracles() {
     for seed in 0..6u64 {
-        if let Some(repro) = fuzz_one(seed) {
+        if let Err(repro) = fuzz_one(seed) {
             panic!(
                 "seed {seed} failed: {} (shrink ops: {:?})",
                 repro.failure, repro.shrink_ops
