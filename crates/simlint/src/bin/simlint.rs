@@ -1,33 +1,22 @@
 //! The `simlint` binary: scans the workspace and reports findings.
 //!
 //! ```text
-//! simlint [--root DIR] [--format text|json] [--baseline FILE]
-//!         [--only RULE] [--explain RULE] [--panic-inventory] [--list-rules]
+//! simlint [--root DIR] [--only RULE] [--explain RULE] [--panic-inventory] [--list-rules]
 //! ```
 //!
-//! Exit codes: 0 = clean, 1 = unbaselined findings, 2 = usage or I/O error.
+//! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use stacksim_simlint::callgraph::CallGraph;
-use stacksim_simlint::source::SourceFile;
-use stacksim_simlint::{engine, wsrules, Options, RULES};
+use stacksim_simlint::{engine, wsrules, RULES};
 
 struct Args {
     root: Option<PathBuf>,
-    format: Format,
-    baseline: Option<PathBuf>,
     only: Option<String>,
     explain: Option<String>,
     panic_inventory: bool,
     list_rules: bool,
-}
-
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
 }
 
 /// Longer per-family guidance for `--explain`, beyond the one-liners in
@@ -66,17 +55,6 @@ const EXPLAIN: &[(&str, &str)] = &[
          lie about what a scenario file may contain.",
     ),
     (
-        "L",
-        "Lock discipline, judged through the workspace call graph. L001: two sites\n\
-         acquire the same pair of locks in opposite orders — a deadlock cycle waiting\n\
-         for contention. L002: a guard is held across file/network I/O, serializing\n\
-         every other thread behind a disk write; hoist the lock into a small helper\n\
-         that returns the data and drop it before the I/O. L003: a call path can\n\
-         re-acquire a lock the caller already holds (std mutexes are not reentrant).\n\
-         A guard is assumed held to the end of the enclosing function unless\n\
-         `drop(guard)` releases it earlier.",
-    ),
-    (
         "H",
         "Hot-path purity: nothing reachable from System::tick / mc_slice /\n\
          fast_forward_to / Core::cycle / MemoryController::tick may allocate (H001)\n\
@@ -105,8 +83,6 @@ const EXPLAIN: &[(&str, &str)] = &[
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
-        format: Format::Text,
-        baseline: None,
         only: None,
         explain: None,
         panic_inventory: false,
@@ -119,17 +95,8 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--root needs a directory")?;
                 args.root = Some(PathBuf::from(v));
             }
-            "--format" => match it.next().as_deref() {
-                Some("text") => args.format = Format::Text,
-                Some("json") => args.format = Format::Json,
-                other => return Err(format!("--format expects text|json, got {other:?}")),
-            },
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a file")?;
-                args.baseline = Some(PathBuf::from(v));
-            }
             "--only" => {
-                let v = it.next().ok_or("--only needs a rule id (e.g. L002)")?;
+                let v = it.next().ok_or("--only needs a rule id (e.g. H001)")?;
                 args.only = Some(v.to_ascii_uppercase());
             }
             "--explain" => {
@@ -140,14 +107,13 @@ fn parse_args() -> Result<Args, String> {
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => {
                 println!(
-                    "simlint [--root DIR] [--format text|json] [--baseline FILE]\n\
-                     \x20       [--only RULE] [--explain RULE] [--panic-inventory] [--list-rules]\n\
+                    "simlint [--root DIR] [--only RULE] [--explain RULE] [--panic-inventory] [--list-rules]\n\
                      \n\
                      Static analysis for the stacksim workspace: determinism (D), panic\n\
                      surface (P), narrowing (N), metric/doc drift (M), scenario drift (S),\n\
-                     lock discipline (L), hot-path purity (H), panic reachability (R) and\n\
-                     pragma hygiene (X). See docs/LINTS.md for rule ids, pragmas, the\n\
-                     baseline format and the call-graph conservatism notes.\n\
+                     hot-path purity (H), panic reachability (R) and pragma hygiene (X).\n\
+                     See docs/LINTS.md for rule ids, pragmas and the call-graph\n\
+                     conservatism notes.\n\
                      --panic-inventory prints the docs/PANICS.md table body.\n\
                      Exit codes: 0 clean, 1 findings, 2 error."
                 );
@@ -166,60 +132,6 @@ fn resolve_root(arg: Option<PathBuf>) -> Option<PathBuf> {
             .ok()
             .and_then(|d| engine::find_workspace_root(&d))
     })
-}
-
-/// Builds the call graph alone (no rules) for `--panic-inventory`.
-fn print_panic_inventory(root: &PathBuf) -> Result<(), String> {
-    let crates_dir = root.join("crates");
-    let mut files: Vec<(String, SourceFile)> = Vec::new();
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)
-        .map_err(|e| format!("read {}: {e}", crates_dir.display()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        let crate_name = crate_dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("")
-            .to_string();
-        let src = crate_dir.join("src");
-        if !src.is_dir() {
-            continue;
-        }
-        let mut stack = vec![src];
-        let mut paths: Vec<PathBuf> = Vec::new();
-        while let Some(dir) = stack.pop() {
-            for entry in
-                std::fs::read_dir(&dir).map_err(|e| format!("read {}: {e}", dir.display()))?
-            {
-                let path = entry.map_err(|e| e.to_string())?.path();
-                if path.is_dir() {
-                    stack.push(path);
-                } else if path.extension().is_some_and(|e| e == "rs") {
-                    paths.push(path);
-                }
-            }
-        }
-        paths.sort();
-        for path in paths {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let text = std::fs::read_to_string(&path).map_err(|e| format!("read {rel}: {e}"))?;
-            files.push((crate_name.clone(), SourceFile::parse(&rel, &text)));
-        }
-    }
-    let refs: Vec<(String, &SourceFile)> = files.iter().map(|(k, f)| (k.clone(), f)).collect();
-    let graph = CallGraph::build(&refs);
-    print!(
-        "{}",
-        wsrules::inventory_markdown(&wsrules::panic_inventory(&graph))
-    );
-    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -260,32 +172,21 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.panic_inventory {
-        return match print_panic_inventory(&root) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("simlint: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    let opts = Options {
-        baseline: args.baseline,
-    };
-    let mut report = match engine::scan(&root, &opts) {
+    let mut report = match engine::scan(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("simlint: {e}");
             return ExitCode::from(2);
         }
     };
+    if args.panic_inventory {
+        print!("{}", wsrules::inventory_markdown(&report.panic_inventory));
+        return ExitCode::SUCCESS;
+    }
     if let Some(only) = &args.only {
         report.findings.retain(|f| &f.rule == only);
     }
-    match args.format {
-        Format::Text => print!("{}", report.to_text()),
-        Format::Json => print!("{}", report.to_json()),
-    }
+    print!("{}", report.to_text());
     if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {

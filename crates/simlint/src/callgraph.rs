@@ -1,12 +1,11 @@
 //! Workspace symbol index and conservative call graph.
 //!
-//! The per-file rules (D/P/N) see one token stream at a time; the L/H/R
+//! The per-file rules (D/P/N) see one token stream at a time; the H/R
 //! rule families need to know what a *call* can reach anywhere in the
-//! workspace: "does this guard-held region reach file I/O?", "is this
-//! allocation reachable from `System::tick`?", "can this public API
-//! transitively panic?". This module builds that view from the same
-//! lexer token streams the rest of simlint uses — no external parser,
-//! no type information, just names and braces.
+//! workspace: "is this allocation reachable from `System::tick`?", "can
+//! this public API transitively panic?". This module builds that view
+//! from the same lexer token streams the rest of simlint uses — no
+//! external parser, no type information, just names and braces.
 //!
 //! # Conservatism
 //!
@@ -31,12 +30,8 @@
 //!   `Type::m`, free calls). Method-name fan-out is excluded there:
 //!   with it, every `.push(…)` on a plain `Vec` would mark its caller
 //!   as panicking "via `EventWheel::push`", and the generated
-//!   `docs/PANICS.md` would claim every public API panics. The lock
-//!   and hot-path rules keep the full over-approximate edge set.
-//! * A lock guard is assumed held from its acquisition to the end of
-//!   the enclosing **function** (not block), unless `drop(binding)`
-//!   releases it earlier. Narrow scopes are expressed by hoisting the
-//!   lock into a small helper function, which is better code anyway.
+//!   `docs/PANICS.md` would claim every public API panics. The
+//!   hot-path rules keep the full over-approximate edge set.
 //!
 //! # Examples
 //!
@@ -56,6 +51,7 @@
 use std::collections::HashMap;
 
 use crate::lexer::{Tok, TokKind};
+use crate::rules::{panic_site, PanicKind};
 use crate::source::SourceFile;
 
 /// How a call site names its callee.
@@ -82,59 +78,6 @@ pub struct CallSite {
     pub line: u32,
 }
 
-/// The kind of a direct panic site (mirrors rules P001–P004).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PanicKind {
-    /// `.unwrap()` / `.unwrap_err()` / `.unwrap_unchecked()` (P001).
-    Unwrap,
-    /// `.expect()` / `.expect_err()` (P002).
-    Expect,
-    /// `panic!` / `unreachable!` / `todo!` / `unimplemented!` (P003).
-    Macro,
-    /// Slice index with unguarded arithmetic (P004).
-    Index,
-}
-
-impl PanicKind {
-    /// Human-readable label for inventory rows and messages.
-    pub const fn label(self) -> &'static str {
-        match self {
-            PanicKind::Unwrap => "unwrap",
-            PanicKind::Expect => "expect",
-            PanicKind::Macro => "panic macro",
-            PanicKind::Index => "computed index",
-        }
-    }
-}
-
-/// One lock acquisition (`recv.lock()`, or `.read()`/`.write()` on a
-/// declared lock name).
-#[derive(Clone, Debug)]
-pub struct LockSite {
-    /// Canonical lock identity: the receiver name as written
-    /// (`memo`, `slots`, `PROGRESS`, …).
-    pub lock: String,
-    /// 1-based source line of the acquisition.
-    pub line: u32,
-}
-
-/// A guard-held region: the lock, where it was taken, and what happens
-/// while it is (assumed) held.
-#[derive(Clone, Debug)]
-pub struct LockHold {
-    /// The held lock's identity.
-    pub lock: String,
-    /// Acquisition line.
-    pub line: u32,
-    /// Indices into the owning function's `calls` made inside the region.
-    pub calls: Vec<usize>,
-    /// Indices into `io` sites inside the region.
-    pub io: Vec<usize>,
-    /// Indices into `locks` acquired inside the region (the *other*
-    /// acquisitions; the hold's own site is excluded).
-    pub locks: Vec<usize>,
-}
-
 /// Everything a function body tells the workspace rules.
 #[derive(Clone, Debug, Default)]
 pub struct FnFacts {
@@ -145,15 +88,8 @@ pub struct FnFacts {
     pub allocs: Vec<(String, u32)>,
     /// `.clone()` call sites.
     pub clones: Vec<u32>,
-    /// Direct panic sites (P001–P004 shapes).
+    /// Direct panic sites (P001–P004, per [`panic_site`]).
     pub panics: Vec<(PanicKind, u32)>,
-    /// File / network I/O sites: `(what, line)` — `fs::*`, `TcpStream`,
-    /// `flush`, `read_exact`, `write!`, ….
-    pub io: Vec<(String, u32)>,
-    /// Lock acquisitions.
-    pub locks: Vec<LockSite>,
-    /// Guard-held regions.
-    pub holds: Vec<LockHold>,
 }
 
 /// One indexed function or method definition.
@@ -224,19 +160,6 @@ const ALLOC_QUALIFIED: &[(&str, &str)] = &[
 /// Macros that allocate.
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
-/// Method names that perform stream I/O wherever they appear — unless
-/// the workspace defines a method of the same name (a domain `flush`
-/// on a row buffer is not a disk write; the call edge covers it).
-const IO_METHODS: &[&str] = &[
-    "flush",
-    "read_exact",
-    "read_line",
-    "read_to_end",
-    "write_all",
-    "sync_all",
-    "sync_data",
-];
-
 /// Std panic-method names: these never create `expr.m(…)` call edges
 /// (they would wire every `.lock().expect(…)` into any user type that
 /// happens to define an `expect`). User-defined methods with these
@@ -249,31 +172,14 @@ const PANIC_METHODS: &[&str] = &[
     "expect_err",
 ];
 
-/// Qualifier path heads whose associated calls are file/network I/O.
-const IO_QUALIFIERS: &[&str] = &["fs", "File", "TcpStream", "TcpListener", "OpenOptions"];
-
-/// Macros that write to a stream (also reach `fmt` impls — a documented
-/// over-approximation).
-const IO_MACROS: &[&str] = &["write", "writeln"];
-
 impl CallGraph {
     /// Indexes every `(crate_name, file)` pair and resolves call edges.
     pub fn build(files: &[(String, &SourceFile)]) -> CallGraph {
-        // Pass 0: workspace-wide set of declared lock names — statics,
-        // fields and lets typed `Mutex`/`RwLock`, plus functions whose
-        // return type mentions one (the `memo()`-style accessors).
-        let mut lock_names: Vec<String> = Vec::new();
-        let mut user_fn_names: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for (_, file) in files {
-            collect_lock_names(file, &mut lock_names);
-            collect_fn_names(file, &mut user_fn_names);
-        }
-
         let mut fns: Vec<FnDef> = Vec::new();
         let mut files_with_symbols = 0usize;
         for (crate_name, file) in files {
             let before = fns.len();
-            index_file(crate_name, file, &lock_names, &user_fn_names, &mut fns);
+            index_file(crate_name, file, &mut fns);
             if fns.len() > before {
                 files_with_symbols += 1;
             }
@@ -346,16 +252,6 @@ impl CallGraph {
             }
         }
         seen
-    }
-
-    /// The callees reachable from one call site of `caller` (used by the
-    /// lock rules to chase a single held-region call).
-    pub fn resolve_call(&self, caller: usize, call: &CallSite) -> Vec<usize> {
-        let mut out = Vec::new();
-        resolve(&self.fns, &self.by_name, &self.fns[caller], call, &mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// `can_panic[i]`: whether `fns[i]` has a direct panic site or can
@@ -507,85 +403,9 @@ fn resolve_precise(
     }
 }
 
-/// Collects declared lock names from one file: `name : … Mutex/RwLock …`
-/// declarations and `fn name(…) -> … Mutex/RwLock …` accessors.
-fn collect_lock_names(file: &SourceFile, out: &mut Vec<String>) {
-    let toks: Vec<&Tok> = file.tokens.iter().filter(|t| !t.is_comment()).collect();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        // `name : … Mutex …` up to a declaration boundary.
-        if toks.get(i + 1).is_some_and(|n| n.text == ":")
-            && toks.get(i + 2).is_none_or(|n| n.text != ":")
-        {
-            let mut j = i + 2;
-            let mut angle = 0i32;
-            while j < toks.len() && j < i + 40 {
-                match toks[j].text.as_str() {
-                    "<" => angle += 1,
-                    ">" => angle -= 1,
-                    "," | ";" | ")" | "{" | "=" if angle <= 0 => break,
-                    "Mutex" | "RwLock" => {
-                        push_unique(out, &t.text);
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        // `fn name(…) -> … Mutex …` — the accessor-fn shape.
-        if t.text == "fn" {
-            if let Some(name_tok) = toks.get(i + 1) {
-                if name_tok.kind == TokKind::Ident {
-                    let mut k = i + 2;
-                    while k < toks.len() && k < i + 60 {
-                        match toks[k].text.as_str() {
-                            "{" | ";" => break,
-                            "Mutex" | "RwLock" => {
-                                push_unique(out, &name_tok.text);
-                                break;
-                            }
-                            _ => k += 1,
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn push_unique(names: &mut Vec<String>, name: &str) {
-    if !names.iter().any(|n| n == name) {
-        names.push(name.to_string());
-    }
-}
-
-/// Collects every defined function name (used to damp the I/O method
-/// heuristics: a name the workspace defines is a call, not stream I/O).
-fn collect_fn_names(file: &SourceFile, out: &mut std::collections::HashSet<String>) {
-    let toks: Vec<&Tok> = file.tokens.iter().filter(|t| !t.is_comment()).collect();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind == TokKind::Ident && t.text == "fn" {
-            if let Some(name) = toks.get(i + 1) {
-                if name.kind == TokKind::Ident {
-                    out.insert(name.text.clone());
-                }
-            }
-        }
-    }
-}
-
 /// Indexes one file: finds `impl`/`trait` context, `fn` definitions and
 /// their body ranges, then extracts facts from each body.
-fn index_file(
-    crate_name: &str,
-    file: &SourceFile,
-    lock_names: &[String],
-    user_fn_names: &std::collections::HashSet<String>,
-    out: &mut Vec<FnDef>,
-) {
+fn index_file(crate_name: &str, file: &SourceFile, out: &mut Vec<FnDef>) {
     let toks: Vec<&Tok> = file.tokens.iter().filter(|t| !t.is_comment()).collect();
     // Owner context per token index: the innermost `impl Type` / `trait
     // Type` block. A simple stack over brace depth.
@@ -650,9 +470,7 @@ fn index_file(
             }
             let owner = owners[i].clone();
             let facts = match body {
-                Some((open, close)) => {
-                    extract_facts(file, &toks, open + 1, close, lock_names, user_fn_names)
-                }
+                Some((open, close)) => extract_facts(file, &toks, open + 1, close),
                 None => FnFacts::default(),
             };
             out.push(FnDef {
@@ -791,28 +609,15 @@ fn matching_close(toks: &[&Tok], open: usize) -> usize {
 }
 
 /// Scans a body token range `[start, end)` into [`FnFacts`].
-fn extract_facts(
-    file: &SourceFile,
-    toks: &[&Tok],
-    start: usize,
-    end: usize,
-    lock_names: &[String],
-    user_fn_names: &std::collections::HashSet<String>,
-) -> FnFacts {
+fn extract_facts(file: &SourceFile, toks: &[&Tok], start: usize, end: usize) -> FnFacts {
     let mut facts = FnFacts::default();
-    // (lock, acq_token_idx, binding, open) — open holds awaiting region end.
-    let mut open_holds: Vec<(String, usize, Option<String>, LockHold)> = Vec::new();
-
     let mut i = start;
     while i < end {
         let t = toks[i];
+        if let Some(kind) = panic_site(file, toks, i) {
+            facts.panics.push((kind, t.line));
+        }
         if t.kind != TokKind::Ident {
-            // P004-shaped computed index.
-            if t.text == "[" && !file.is_test_line(t.line) {
-                if let Some(kind) = computed_index(toks, i, end) {
-                    facts.panics.push((kind, t.line));
-                }
-            }
             i += 1;
             continue;
         }
@@ -824,14 +629,8 @@ fn extract_facts(
 
         // Macros.
         if next_bang {
-            if matches!(name, "panic" | "unreachable" | "todo" | "unimplemented") {
-                facts.panics.push((PanicKind::Macro, t.line));
-            }
             if ALLOC_MACROS.contains(&name) {
                 facts.allocs.push((format!("{name}!"), t.line));
-            }
-            if IO_MACROS.contains(&name) {
-                push_io(&mut facts, &mut open_holds, format!("{name}!"), t.line);
             }
             i += 2;
             continue;
@@ -840,17 +639,6 @@ fn extract_facts(
         if !next_open || NOT_CALLS.contains(&name) {
             i += 1;
             continue;
-        }
-
-        // Panic methods.
-        match name {
-            "unwrap" | "unwrap_err" | "unwrap_unchecked" if after_dot => {
-                facts.panics.push((PanicKind::Unwrap, t.line));
-            }
-            "expect" | "expect_err" if after_dot => {
-                facts.panics.push((PanicKind::Expect, t.line));
-            }
-            _ => {}
         }
 
         // Allocation shapes.
@@ -894,64 +682,6 @@ fn extract_facts(
             if ALLOC_QUALIFIED.contains(&(q.as_str(), name)) {
                 facts.allocs.push((format!("{q}::{name}"), t.line));
             }
-            if IO_QUALIFIERS.contains(&q.as_str()) {
-                push_io(&mut facts, &mut open_holds, format!("{q}::{name}"), t.line);
-            }
-        }
-        if after_dot && IO_METHODS.contains(&name) && !user_fn_names.contains(name) {
-            push_io(&mut facts, &mut open_holds, format!(".{name}()"), t.line);
-        }
-
-        // Lock acquisition: `.lock()` always; `.read()`/`.write()` only
-        // on declared lock names.
-        if after_dot && matches!(name, "lock" | "read" | "write") {
-            if let Some(recv) = receiver_name(toks, i - 1) {
-                // `stdout().lock()`-style stream locks are not mutexes.
-                let is_lock = !matches!(recv.as_str(), "stdout" | "stderr" | "stdin" | "io")
-                    && (name == "lock" || lock_names.iter().any(|l| l == &recv));
-                if is_lock {
-                    let site = LockSite {
-                        lock: recv.clone(),
-                        line: t.line,
-                    };
-                    let site_idx = facts.locks.len();
-                    // Record inside every already-open hold.
-                    for (_, _, _, hold) in open_holds.iter_mut() {
-                        hold.locks.push(site_idx);
-                    }
-                    facts.locks.push(site);
-                    let binding = statement_binding(toks, start, i);
-                    open_holds.push((
-                        recv.clone(),
-                        i,
-                        binding,
-                        LockHold {
-                            lock: recv,
-                            line: t.line,
-                            calls: Vec::new(),
-                            io: Vec::new(),
-                            locks: Vec::new(),
-                        },
-                    ));
-                    i += 1;
-                    continue;
-                }
-            }
-        }
-
-        // `drop(binding)` closes a hold early.
-        if name == "drop" && !after_dot {
-            if let Some(arg) = toks.get(i + 2) {
-                if arg.kind == TokKind::Ident && toks.get(i + 3).is_some_and(|n| n.text == ")") {
-                    if let Some(pos) = open_holds
-                        .iter()
-                        .position(|(_, _, b, _)| b.as_deref() == Some(arg.text.as_str()))
-                    {
-                        let (_, _, _, hold) = open_holds.remove(pos);
-                        facts.holds.push(hold);
-                    }
-                }
-            }
         }
 
         // A call site.
@@ -971,149 +701,14 @@ fn extract_facts(
         } else {
             Recv::Free
         };
-        let call_idx = facts.calls.len();
         facts.calls.push(CallSite {
             name: name.to_string(),
             recv,
             line: t.line,
         });
-        for (_, _, _, hold) in open_holds.iter_mut() {
-            hold.calls.push(call_idx);
-        }
         i += 1;
     }
-
-    // Holds not closed by drop() extend to the end of the function.
-    for (_, _, _, hold) in open_holds {
-        facts.holds.push(hold);
-    }
     facts
-        .holds
-        .sort_by_key(|h| (h.line, h.lock.clone(), h.calls.len()));
-    facts
-}
-
-/// Records an I/O site and attributes it to every open hold.
-fn push_io(
-    facts: &mut FnFacts,
-    open_holds: &mut [(String, usize, Option<String>, LockHold)],
-    what: String,
-    line: u32,
-) {
-    let idx = facts.io.len();
-    for (_, _, _, hold) in open_holds.iter_mut() {
-        hold.io.push(idx);
-    }
-    facts.io.push((what, line));
-}
-
-/// The receiver identity of a method call whose `.` sits at `dot`: the
-/// root of the postfix chain, skipping a leading `self` —
-/// `memo().lock()` → `memo`, `self.slots[i].lock()` → `slots`,
-/// `MEMO.get_or_init(init).lock()` → `MEMO`. `None` when the receiver
-/// is not nameable (a literal, a parenthesized expression, …).
-fn receiver_name(toks: &[&Tok], dot: usize) -> Option<String> {
-    if dot == 0 {
-        return None;
-    }
-    let mut j = dot as isize - 1;
-    let mut segments: Vec<String> = Vec::new();
-    loop {
-        // One postfix segment: an optional call/index group, then a name.
-        while j >= 0 && matches!(toks[j as usize].text.as_str(), ")" | "]") {
-            let close = toks[j as usize].text.clone();
-            let open = if close == ")" { "(" } else { "[" };
-            let mut depth = 1usize;
-            while j > 0 && depth > 0 {
-                j -= 1;
-                if toks[j as usize].text == close {
-                    depth += 1;
-                } else if toks[j as usize].text == open {
-                    depth -= 1;
-                }
-            }
-            j -= 1; // before the open bracket
-        }
-        if j < 0 || toks[j as usize].kind != TokKind::Ident {
-            break;
-        }
-        segments.push(toks[j as usize].text.clone());
-        j -= 1;
-        if j < 0 || toks[j as usize].text != "." {
-            break;
-        }
-        j -= 1; // before the `.`, on to the next segment
-    }
-    // `segments` is right-to-left; the root is last. Skip a bare `self`.
-    segments.retain(|s| s != "self");
-    segments.last().cloned()
-}
-
-/// The `let`-binding name of the statement containing token `at`, if the
-/// statement is `let [mut] NAME = …`.
-fn statement_binding(toks: &[&Tok], body_start: usize, at: usize) -> Option<String> {
-    // Walk back to the statement start.
-    let mut j = at;
-    while j > body_start {
-        match toks[j - 1].text.as_str() {
-            ";" | "{" | "}" => break,
-            _ => j -= 1,
-        }
-    }
-    if toks.get(j).is_some_and(|t| t.text == "let") {
-        let mut k = j + 1;
-        if toks.get(k).is_some_and(|t| t.text == "mut") {
-            k += 1;
-        }
-        let name = toks.get(k)?;
-        if name.kind == TokKind::Ident && toks.get(k + 1).is_some_and(|t| t.text == "=") {
-            return Some(name.text.clone());
-        }
-    }
-    None
-}
-
-/// P004-shaped computed slice index starting at the `[` at `i`; mirrors
-/// `rules::rule_p_index` (ranges, `%`, `& mask` recognized as guards).
-fn computed_index(toks: &[&Tok], i: usize, end: usize) -> Option<PanicKind> {
-    let indexing = i > 0
-        && (toks[i - 1].kind == TokKind::Ident
-            || toks[i - 1].text == ")"
-            || toks[i - 1].text == "]");
-    if !indexing {
-        return None;
-    }
-    let mut depth = 0usize;
-    let mut j = i;
-    let mut idx_toks: Vec<&Tok> = Vec::new();
-    while j < end {
-        match toks[j].text.as_str() {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {}
-        }
-        if j > i {
-            idx_toks.push(toks[j]);
-        }
-        j += 1;
-    }
-    if idx_toks.len() <= 1 {
-        return None;
-    }
-    let has_range = idx_toks
-        .windows(2)
-        .any(|w| w[0].text == "." && w[1].text == ".");
-    let has_modulo = idx_toks.iter().any(|t| t.text == "%");
-    let has_mask = idx_toks.iter().skip(1).any(|t| t.text == "&");
-    let has_arith = idx_toks
-        .iter()
-        .any(|t| matches!(t.text.as_str(), "+" | "-" | "*"));
-    (has_arith && !has_range && !has_modulo && !has_mask).then_some(PanicKind::Index)
 }
 
 #[cfg(test)]
@@ -1172,37 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_holds_capture_calls_and_io() {
-        let g = graph(&[(
-            "core",
-            "crates/core/src/x.rs",
-            "static MEMO: Mutex<u32> = Mutex::new(0);\n\
-             fn memo() -> &'static Mutex<u32> { &MEMO }\n\
-             fn f() { let g = memo().lock(); fs::write(\"p\", \"x\"); helper(); }\n\
-             fn helper() {}\n",
-        )]);
-        let f = g.find(None, "f")[0];
-        let facts = &g.fns[f].facts;
-        assert_eq!(facts.holds.len(), 1);
-        let hold = &facts.holds[0];
-        assert_eq!(hold.lock, "memo");
-        assert_eq!(hold.io.len(), 1);
-        assert!(hold.calls.iter().any(|&c| facts.calls[c].name == "helper"));
-    }
-
-    #[test]
-    fn drop_ends_a_hold() {
-        let g = graph(&[(
-            "core",
-            "crates/core/src/x.rs",
-            "fn f() { let g = m.lock(); drop(g); fs::write(\"p\", \"x\"); }\n",
-        )]);
-        let f = g.find(None, "f")[0];
-        let hold = &g.fns[f].facts.holds[0];
-        assert!(hold.io.is_empty(), "io after drop() is not under the guard");
-    }
-
-    #[test]
     fn pub_detection_excludes_pub_crate() {
         let g = graph(&[(
             "core",
@@ -1225,7 +789,6 @@ mod tests {
         let load = g.find(Some("Store"), "load")[0];
         let inner = g.find(Some("Store"), "load_result")[0];
         assert_eq!(g.edges[load], vec![inner]);
-        assert_eq!(g.fns[inner].facts.io.len(), 1);
     }
 
     #[test]

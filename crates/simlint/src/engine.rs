@@ -1,32 +1,24 @@
 //! The workspace scanner: file walking, rule dispatch, call-graph
-//! construction, pragma and baseline suppression, and report assembly.
+//! construction, pragma suppression, and report assembly.
 //!
 //! The scan runs in phases: (1) every `crates/*/src/**/*.rs` file is
 //! lexed and the per-file rules (D/P/N, M001, X001) produce *raw*
 //! findings; (2) a workspace call graph is built over all files and the
-//! L/H/R rules add theirs; (3) pragma suppression runs centrally over
-//! the combined set, which also lets X002 flag pragmas that no longer
-//! suppress anything; (4) the baseline filters what remains.
+//! H/R rules add theirs; (3) pragma suppression runs centrally over the
+//! combined set, which also lets X002 flag pragmas that no longer
+//! suppress anything.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::Baseline;
 use crate::callgraph::CallGraph;
 use crate::docs::MetricDocs;
 use crate::rules::{self, Finding, Registration, KERNEL_CRATES};
 use crate::scenario_docs;
 use crate::source::SourceFile;
-use crate::wsrules::{self, WsContext};
+use crate::wsrules::{self, PanicApi};
 
-/// Scanner options.
-#[derive(Clone, Debug, Default)]
-pub struct Options {
-    /// Baseline file path; `None` uses `<root>/simlint.baseline` if present.
-    pub baseline: Option<PathBuf>,
-}
-
-/// Call-graph coverage numbers for the report's `graph` section.
+/// Call-graph coverage numbers.
 #[derive(Clone, Debug, Default)]
 pub struct GraphSummary {
     /// Indexed function definitions.
@@ -42,8 +34,6 @@ pub struct GraphSummary {
 /// Result of a workspace scan.
 #[derive(Clone, Debug)]
 pub struct Report {
-    /// Workspace root the scan ran against.
-    pub root: PathBuf,
     /// Number of Rust files scanned.
     pub files_scanned: usize,
     /// Call-graph coverage.
@@ -52,8 +42,8 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Findings suppressed by in-source pragmas.
     pub suppressed_by_pragma: usize,
-    /// Findings suppressed by baseline entries.
-    pub suppressed_by_baseline: usize,
+    /// The computed panic inventory (`docs/PANICS.md`'s table rows).
+    pub panic_inventory: Vec<PanicApi>,
 }
 
 impl Report {
@@ -67,76 +57,15 @@ impl Report {
             ));
         }
         out.push_str(&format!(
-            "simlint: {} file(s) scanned, call graph {} node(s) / {} edge(s), {} finding(s), {} suppressed by pragma, {} by baseline\n",
+            "simlint: {} file(s) scanned, call graph {} node(s) / {} edge(s), {} finding(s), {} suppressed by pragma\n",
             self.files_scanned,
             self.graph.nodes,
             self.graph.edges,
             self.findings.len(),
             self.suppressed_by_pragma,
-            self.suppressed_by_baseline
         ));
         out
     }
-
-    /// Renders the report as machine-readable JSON
-    /// (`stacksim-simlint/2` schema).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"stacksim-simlint/2\",\n");
-        out.push_str(&format!(
-            "  \"files_scanned\": {},\n  \"suppressed_by_pragma\": {},\n  \"suppressed_by_baseline\": {},\n",
-            self.files_scanned, self.suppressed_by_pragma, self.suppressed_by_baseline
-        ));
-        out.push_str(&format!(
-            "  \"graph\": {{\"nodes\": {}, \"edges\": {}, \"files_with_symbols\": {}, \"roots\": [",
-            self.graph.nodes, self.graph.edges, self.graph.files_with_symbols
-        ));
-        for (i, r) in self.graph.roots.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(r));
-        }
-        out.push_str("]},\n");
-        out.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"snippet\": {}}}",
-                json_str(&f.file),
-                f.line,
-                json_str(&f.rule),
-                json_str(&f.message),
-                json_str(&f.snippet)
-            ));
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Locates the workspace root by walking up from `start` until a
@@ -159,22 +88,21 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 ///
 /// Walks `crates/*/src/**/*.rs` in sorted order (so output is
 /// deterministic across platforms), applies the D/P/N rules to kernel
-/// crates, builds the call graph over every file and runs the L/H/R
+/// crates, builds the call graph over every file and runs the H/R
 /// workspace rules, cross-checks metric registrations against
 /// `docs/METRICS.md` and the panic inventory against `docs/PANICS.md`,
 /// then filters findings through in-source pragmas (flagging stale ones
-/// as X002) and the baseline file.
+/// as X002).
 ///
 /// # Errors
 ///
 /// Returns a message when the root has no `crates/` directory or a file
 /// cannot be read.
-pub fn scan(root: &Path, opts: &Options) -> Result<Report, String> {
+pub fn scan(root: &Path) -> Result<Report, String> {
     let crates_dir = root.join("crates");
     if !crates_dir.is_dir() {
         return Err(format!("no crates/ directory under {}", root.display()));
     }
-    let baseline = load_baseline(root, opts)?;
     let docs_path = root.join("docs/METRICS.md");
     let docs = match fs::read_to_string(&docs_path) {
         Ok(text) => Some(MetricDocs::parse(&text)),
@@ -217,21 +145,15 @@ pub fn scan(root: &Path, opts: &Options) -> Result<Report, String> {
     if let Some(docs) = &docs {
         for r in &regs {
             if !docs.documents(&r.name) {
-                let snippet = files
-                    .iter()
-                    .find(|(_, f)| f.path == r.file)
-                    .map(|(_, f)| f.line_text(r.line).to_string())
-                    .unwrap_or_default();
-                raw.push(Finding {
-                    file: r.file.clone(),
-                    line: r.line,
-                    rule: "M001".to_string(),
-                    message: format!(
+                raw.push(Finding::new(
+                    &r.file,
+                    r.line,
+                    "M001",
+                    format!(
                         "metric `{}` is registered here but not documented in docs/METRICS.md",
                         r.name
                     ),
-                    snippet,
-                });
+                ));
             }
         }
     }
@@ -239,14 +161,13 @@ pub fn scan(root: &Path, opts: &Options) -> Result<Report, String> {
     // Phase 2: the call graph and the workspace rules.
     let file_refs: Vec<(String, &SourceFile)> = files.iter().map(|(k, f)| (k.clone(), f)).collect();
     let graph = CallGraph::build(&file_refs);
-    let panic_docs = fs::read_to_string(root.join("docs/PANICS.md")).ok();
-    let ctx = WsContext {
-        graph: &graph,
-        files: &files,
-        panic_docs: panic_docs.as_deref(),
-        panic_docs_path: "docs/PANICS.md",
-    };
-    let roots = wsrules::check_workspace(&ctx, &mut raw);
+    let roots = wsrules::check_hot_paths(&graph, &mut raw);
+    let panic_inventory = wsrules::panic_inventory(&graph);
+    // Like the M rules without `docs/METRICS.md`, the R rules are skipped
+    // in a workspace that commits no panic inventory.
+    if let Ok(doc) = fs::read_to_string(root.join(wsrules::PANIC_DOCS)) {
+        wsrules::check_panic_docs(&doc, &panic_inventory, &mut raw);
+    }
 
     // Rule M002: documented inventory entries must exist in code.
     if let Some(docs) = &docs {
@@ -258,16 +179,15 @@ pub fn scan(root: &Path, opts: &Options) -> Result<Report, String> {
         for entry in &docs.inventory {
             let l = rules::leaf(&entry.name);
             if !regs.iter().any(|r| rules::leaf(&r.name) == l) {
-                raw.push(Finding {
-                    file: doc_rel.clone(),
-                    line: entry.line,
-                    rule: "M002".to_string(),
-                    message: format!(
+                raw.push(Finding::new(
+                    &doc_rel,
+                    entry.line,
+                    "M002",
+                    format!(
                         "metric `{}` is documented in the inventory but never registered in code",
                         entry.name
                     ),
-                    snippet: entry.name.clone(),
-                });
+                ));
             }
         }
     }
@@ -317,35 +237,23 @@ pub fn scan(root: &Path, opts: &Options) -> Result<Report, String> {
                 suppressed_by_pragma += 1;
                 continue;
             }
-            findings.push(Finding {
-                file: sf.path.clone(),
-                line: p.line,
-                rule: "X002".to_string(),
-                message: format!(
+            findings.push(Finding::new(
+                &sf.path,
+                p.line,
+                "X002",
+                format!(
                     "simlint::allow({}) pragma suppresses nothing: {} does not fire on its target line — remove the stale pragma",
                     p.rule, p.rule
                 ),
-                snippet: sf.line_text(p.line).to_string(),
-            });
+            ));
         }
     }
 
-    // Phase 4: baseline suppression, then deterministic ordering.
-    let mut suppressed_by_baseline = 0usize;
-    findings.retain(|f| {
-        if baseline.matches(f) {
-            suppressed_by_baseline += 1;
-            false
-        } else {
-            true
-        }
-    });
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule.as_str()).cmp(&(b.file.as_str(), b.line, b.rule.as_str()))
     });
 
     Ok(Report {
-        root: root.to_path_buf(),
         files_scanned,
         graph: GraphSummary {
             nodes: graph.fns.len(),
@@ -355,7 +263,7 @@ pub fn scan(root: &Path, opts: &Options) -> Result<Report, String> {
         },
         findings,
         suppressed_by_pragma,
-        suppressed_by_baseline,
+        panic_inventory,
     })
 }
 
@@ -379,48 +287,30 @@ fn check_scenario_docs(root: &Path, findings: &mut Vec<Finding>) {
     };
     for key in &accepted {
         if !documented.iter().any(|d| d.key == key.key) {
-            findings.push(Finding {
-                file: parser_rel.to_string(),
-                line: key.line,
-                rule: "S001".to_string(),
-                message: format!(
+            findings.push(Finding::new(
+                parser_rel,
+                key.line,
+                "S001",
+                format!(
                     "scenario key `{}` is accepted by the parser but has no table row in {doc_rel}",
                     key.key
                 ),
-                snippet: key.key.clone(),
-            });
+            ));
         }
     }
     for key in &documented {
         if !accepted.iter().any(|a| a.key == key.key) {
-            findings.push(Finding {
-                file: doc_rel.to_string(),
-                line: key.line,
-                rule: "S002".to_string(),
-                message: format!(
+            findings.push(Finding::new(
+                doc_rel,
+                key.line,
+                "S002",
+                format!(
                     "scenario key `{}` is documented but not in the parser's ACCEPTED_KEYS",
                     key.key
                 ),
-                snippet: key.key.clone(),
-            });
+            ));
         }
     }
-}
-
-fn load_baseline(root: &Path, opts: &Options) -> Result<Baseline, String> {
-    let path = match &opts.baseline {
-        Some(p) => p.clone(),
-        None => {
-            let default = root.join("simlint.baseline");
-            if !default.is_file() {
-                return Ok(Baseline::default());
-            }
-            default
-        }
-    };
-    let text =
-        fs::read_to_string(&path).map_err(|e| format!("read baseline {}: {e}", path.display()))?;
-    Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Immediate subdirectories of `dir`, sorted by name.
@@ -457,15 +347,4 @@ fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> 
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_str("plain"), "\"plain\"");
-    }
 }

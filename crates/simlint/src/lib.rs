@@ -11,11 +11,10 @@
 //!
 //! The tool is self-contained: a lightweight Rust [`lexer`], a per-file
 //! rule engine ([`rules`]), a workspace symbol index and conservative
-//! call graph ([`callgraph`]) feeding the lock-discipline /
-//! hot-path-purity / panic-reachability rules ([`wsrules`]), a
-//! `docs/METRICS.md` cross-check ([`docs`]), in-source pragmas
-//! ([`source`]) and a baseline file ([`baseline`]), assembled by
-//! [`engine::scan`]. Rule ids, rationale and the pragma syntax are
+//! call graph ([`callgraph`]) feeding the hot-path-purity and
+//! panic-reachability rules ([`wsrules`]), a `docs/METRICS.md`
+//! cross-check ([`docs`]) and in-source pragmas ([`source`]), assembled
+//! by [`engine::scan`]. Rule ids, rationale and the pragma syntax are
 //! documented in `docs/LINTS.md`.
 //!
 //! # Examples
@@ -33,7 +32,6 @@
 //! assert_eq!(findings[0].rule, "P001");
 //! ```
 
-pub mod baseline;
 pub mod callgraph;
 pub mod docs;
 pub mod engine;
@@ -43,5 +41,5 @@ pub mod scenario_docs;
 pub mod source;
 pub mod wsrules;
 
-pub use engine::{find_workspace_root, scan, GraphSummary, Options, Report};
+pub use engine::{find_workspace_root, scan, GraphSummary, Report};
 pub use rules::{Finding, KERNEL_CRATES, RULES};

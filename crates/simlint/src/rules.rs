@@ -65,18 +65,6 @@ pub const RULES: &[(&str, &str)] = &[
         "scenario key documented in docs/SCENARIOS.md but not accepted by the parser",
     ),
     (
-        "L001",
-        "lock order inconsistent with another site (deadlock cycle through the call graph)",
-    ),
-    (
-        "L002",
-        "lock guard held across file or network I/O on some call path",
-    ),
-    (
-        "L003",
-        "reachable re-acquisition of the same lock while its guard is held (self-deadlock)",
-    ),
-    (
         "H001",
         "heap allocation reachable from a tick-loop root (System::tick and friends)",
     ),
@@ -110,18 +98,16 @@ pub struct Finding {
     pub rule: String,
     /// Human-readable message.
     pub message: String,
-    /// Trimmed source text of the offending line (the baseline match key).
-    pub snippet: String,
 }
 
 impl Finding {
-    fn new(file: &SourceFile, line: u32, rule: &str, message: String) -> Finding {
+    /// A finding of `rule` at `file:line`.
+    pub fn new(file: &str, line: u32, rule: &str, message: String) -> Finding {
         Finding {
-            file: file.path.clone(),
+            file: file.to_string(),
             line,
             rule: rule.to_string(),
             message,
-            snippet: file.line_text(line).to_string(),
         }
     }
 }
@@ -154,15 +140,14 @@ pub fn check_file(file: &SourceFile, kernel: bool, regs: &mut Vec<Registration>)
     if kernel {
         rule_d_time_and_rand(file, &toks, &mut findings);
         rule_d_hash_iteration(file, &toks, &mut findings);
-        rule_p_panics(file, &toks, &mut findings);
-        rule_p_index(file, &toks, &mut findings);
+        rule_p(file, &toks, &mut findings);
         rule_n_narrowing(file, &toks, &mut findings);
     }
     collect_registrations(file, &toks, regs);
     for p in &file.pragmas {
         if p.reason.is_empty() {
             findings.push(Finding::new(
-                file,
+                &file.path,
                 p.line,
                 "X001",
                 "malformed simlint::allow pragma: expected (RULE, reason = \"…\") with a non-empty reason".to_string(),
@@ -184,7 +169,7 @@ fn rule_d_time_and_rand(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Fin
         }
         match t.text.as_str() {
             "Instant" | "SystemTime" | "UNIX_EPOCH" => findings.push(Finding::new(
-                file,
+                &file.path,
                 t.line,
                 "D001",
                 format!(
@@ -201,7 +186,7 @@ fn rule_d_time_and_rand(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Fin
                     && matches!(toks[i - 3].text.as_str(), "std" | "core") =>
             {
                 findings.push(Finding::new(
-                    file,
+                    &file.path,
                     t.line,
                     "D001",
                     "`std::time` in kernel code: wall-clock time must not influence simulation"
@@ -214,7 +199,7 @@ fn rule_d_time_and_rand(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Fin
                 let after_use = i >= 1 && is_ident(toks[i - 1], "use");
                 if next_is_path || after_use {
                     findings.push(Finding::new(
-                        file,
+                        &file.path,
                         t.line,
                         "D002",
                         "`rand` in kernel code: any randomness must come from the seeded workload generators".to_string(),
@@ -319,8 +304,10 @@ fn rule_d_hash_iteration(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Fi
             let mut k = j + 1;
             while k < toks.len() && k < j + 100 && toks[k].text != ";" {
                 // An ident preceded by `.` is a method/field selector
-                // (`items.map(…)`), not a use of a tainted binding.
-                let selector = k > 0 && toks[k - 1].text == ".";
+                // (`items.map(…)`), not a use of a tainted binding —
+                // except a field of `self`, which is the field itself.
+                let selector =
+                    toks[k - 1].text == "." && !(k >= 2 && is_ident(toks[k - 2], "self"));
                 let tainted = matches!(toks[k].text.as_str(), "HashMap" | "HashSet")
                     || (toks[k].kind == TokKind::Ident
                         && !selector
@@ -354,7 +341,7 @@ fn rule_d_hash_iteration(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Fi
                     && toks.get(i + 3).is_some_and(|n| n.text == "(")
                 {
                     findings.push(Finding::new(
-                        file,
+                        &file.path,
                         t.line,
                         "D003",
                         format!(
@@ -377,7 +364,7 @@ fn rule_d_hash_iteration(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Fi
             }
             if is_ident(toks[back], "in") && toks.get(i + 1).is_some_and(|n| n.text == "{") {
                 findings.push(Finding::new(
-                    file,
+                    &file.path,
                     t.line,
                     "D003",
                     format!(
@@ -396,107 +383,125 @@ fn push_unique(names: &mut Vec<String>, name: &str) {
     }
 }
 
-/// P001 / P002 / P003: unwrap, expect, and explicit panic macros.
-fn rule_p_panics(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || file.is_test_line(t.line) {
-            continue;
+/// The kind of a direct panic site, one per rule P001–P004.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PanicKind {
+    /// `.unwrap()` / `.unwrap_err()` / `.unwrap_unchecked()` (P001).
+    Unwrap,
+    /// `.expect()` / `.expect_err()` (P002).
+    Expect,
+    /// `panic!` / `unreachable!` / `todo!` / `unimplemented!` (P003).
+    Macro,
+    /// Slice index with unguarded arithmetic (P004).
+    Index,
+}
+
+impl PanicKind {
+    /// The rule id that reports this kind.
+    pub const fn rule(self) -> &'static str {
+        match self {
+            PanicKind::Unwrap => "P001",
+            PanicKind::Expect => "P002",
+            PanicKind::Macro => "P003",
+            PanicKind::Index => "P004",
         }
-        let called = toks.get(i + 1).is_some_and(|n| n.text == "(");
-        let after_dot = i >= 1 && toks[i - 1].text == ".";
-        match t.text.as_str() {
-            "unwrap" | "unwrap_err" | "unwrap_unchecked" if called && after_dot => {
-                findings.push(Finding::new(
-                    file,
-                    t.line,
-                    "P001",
-                    format!("`.{}()` can panic; return a typed error instead", t.text),
-                ));
-            }
-            "expect" | "expect_err" if called && after_dot => {
-                findings.push(Finding::new(
-                    file,
-                    t.line,
-                    "P002",
-                    format!("`.{}()` can panic; return a typed error instead", t.text),
-                ));
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented"
-                if toks.get(i + 1).is_some_and(|n| n.text == "!") =>
-            {
-                findings.push(Finding::new(
-                    file,
-                    t.line,
-                    "P003",
-                    format!(
-                        "`{}!` panics; prefer a typed error or prove the branch impossible",
-                        t.text
-                    ),
-                ));
-            }
-            _ => {}
+    }
+
+    /// Human-readable label for inventory rows and messages.
+    pub const fn label(self) -> &'static str {
+        match self {
+            PanicKind::Unwrap => "unwrap",
+            PanicKind::Expect => "expect",
+            PanicKind::Macro => "panic macro",
+            PanicKind::Index => "computed index",
         }
     }
 }
 
-/// P004: slice indexing whose index expression contains unguarded
-/// arithmetic (`x[i + 1]`, `x[pos - 1]`). Single identifiers, literals,
-/// ranges, and modulo-wrapped indices are accepted; everything else is a
-/// plausible off-by-one panic site.
-fn rule_p_index(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.text != "[" || file.is_test_line(t.line) {
-            continue;
-        }
-        // Indexing only: `[` directly after an ident, `)`, or `]`.
-        let indexing = i >= 1
-            && (toks[i - 1].kind == TokKind::Ident
-                || toks[i - 1].text == ")"
-                || toks[i - 1].text == "]");
-        if !indexing {
-            continue;
-        }
-        // Attribute `#[…]` never matches (previous token is `#`).
-        let mut depth = 0usize;
-        let mut j = i;
-        let mut idx_toks: Vec<&Tok> = Vec::new();
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "[" => depth += 1,
-                "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
+/// Classifies token `i` as a P001–P004 panic site, or `None`. Test code
+/// is never a site. The per-file P rules and the call graph's panic
+/// propagation both ask this one question, so the rules and
+/// `docs/PANICS.md` cannot disagree about what panics.
+pub fn panic_site(file: &SourceFile, toks: &[&Tok], i: usize) -> Option<PanicKind> {
+    let t = toks[i];
+    if file.is_test_line(t.line) {
+        return None;
+    }
+    let prev = i.checked_sub(1).map(|p| toks[p]);
+    let next = toks.get(i + 1).map(|n| n.text.as_str());
+    let after_dot = prev.is_some_and(|p| p.text == ".");
+    if t.kind == TokKind::Ident {
+        return match t.text.as_str() {
+            "unwrap" | "unwrap_err" | "unwrap_unchecked" if after_dot && next == Some("(") => {
+                Some(PanicKind::Unwrap)
+            }
+            "expect" | "expect_err" if after_dot && next == Some("(") => Some(PanicKind::Expect),
+            "panic" | "unreachable" | "todo" | "unimplemented" if next == Some("!") => {
+                Some(PanicKind::Macro)
+            }
+            _ => None,
+        };
+    }
+    // P004: indexing only — `[` directly after an ident, `)`, or `]`
+    // (so attributes `#[…]` and array literals never match). Single
+    // identifiers, literals, ranges, `%` and power-of-two `& mask` wrapping
+    // are accepted; other arithmetic is a plausible off-by-one.
+    let indexing = t.text == "["
+        && prev.is_some_and(|p| p.kind == TokKind::Ident || p.text == ")" || p.text == "]");
+    if !indexing {
+        return None;
+    }
+    let mut depth = 0usize;
+    let mut idx_toks: Vec<&Tok> = Vec::new();
+    for (j, tok) in toks.iter().enumerate().skip(i) {
+        match tok.text.as_str() {
+            "[" => depth += 1,
+            "]" => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
                 }
-                _ => {}
             }
-            if j > i {
-                idx_toks.push(toks[j]);
+            _ => {}
+        }
+        if j > i {
+            idx_toks.push(tok);
+        }
+    }
+    if idx_toks.len() <= 1 {
+        return None; // empty, single literal, or single identifier
+    }
+    let has_range = idx_toks
+        .windows(2)
+        .any(|w| w[0].text == "." && w[1].text == ".");
+    let has_modulo = idx_toks.iter().any(|t| t.text == "%");
+    // A trailing `& mask` bounds the index just like `%`; a leading `&`
+    // is only a reference, not a mask.
+    let has_mask = idx_toks.iter().skip(1).any(|t| t.text == "&");
+    let has_arith = idx_toks
+        .iter()
+        .any(|t| matches!(t.text.as_str(), "+" | "-" | "*"));
+    (has_arith && !has_range && !has_modulo && !has_mask).then_some(PanicKind::Index)
+}
+
+/// P001–P004: every [`panic_site`] in the file.
+fn rule_p(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Finding>) {
+    for i in 0..toks.len() {
+        let Some(kind) = panic_site(file, toks, i) else {
+            continue;
+        };
+        let t = toks[i];
+        let message = match kind {
+            PanicKind::Unwrap | PanicKind::Expect => {
+                format!("`.{}()` can panic; return a typed error instead", t.text)
             }
-            j += 1;
-        }
-        if idx_toks.len() <= 1 {
-            continue; // empty, single literal, or single identifier
-        }
-        let has_range = idx_toks
-            .windows(2)
-            .any(|w| w[0].text == "." && w[1].text == ".");
-        let has_modulo = idx_toks.iter().any(|t| t.text == "%");
-        // A trailing `& mask` (power-of-two wrap) bounds the index just
-        // like `%`; a leading `&` is only a reference, not a mask.
-        let has_mask = idx_toks.iter().skip(1).any(|t| t.text == "&");
-        let has_arith = idx_toks
-            .iter()
-            .any(|t| matches!(t.text.as_str(), "+" | "-" | "*"));
-        if has_arith && !has_range && !has_modulo && !has_mask {
-            findings.push(Finding::new(
-                file,
-                t.line,
-                "P004",
-                "slice index computed with unguarded arithmetic; use .get(), a checked helper, or justify with a pragma".to_string(),
-            ));
-        }
+            PanicKind::Macro => format!(
+                "`{}!` panics; prefer a typed error or prove the branch impossible",
+                t.text
+            ),
+            PanicKind::Index => "slice index computed with unguarded arithmetic; use .get(), a checked helper, or justify with a pragma".to_string(),
+        };
+        findings.push(Finding::new(&file.path, t.line, kind.rule(), message));
     }
 }
 
@@ -566,7 +571,7 @@ fn rule_n_narrowing(file: &SourceFile, toks: &[&Tok], findings: &mut Vec<Finding
         }
         if names.iter().any(|n| is_cycle_or_addr_ident(n)) {
             findings.push(Finding::new(
-                file,
+                &file.path,
                 t.line,
                 "N001",
                 format!(
@@ -665,6 +670,25 @@ fn visit() {
 }
 ";
         assert!(rules_of(&check(src)).contains(&"D003"));
+    }
+
+    #[test]
+    fn d003_taint_flows_through_self_field_guards() {
+        let src = "\
+struct S { memo: Mutex<HashMap<K, V>> }
+impl S {
+    fn snapshot(&self) -> Vec<(K, V)> {
+        let map = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+}
+";
+        let d003: Vec<u32> = check(src)
+            .iter()
+            .filter(|f| f.rule == "D003")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(d003, [5]);
     }
 
     #[test]

@@ -24,8 +24,6 @@ pub struct SourceFile {
     pub path: String,
     /// Token stream from [`lex`].
     pub tokens: Vec<Tok>,
-    /// Trimmed text of each source line (index 0 = line 1).
-    pub lines: Vec<String>,
     /// Inclusive line ranges that are test-only code.
     pub test_ranges: Vec<(u32, u32)>,
     /// All well-formed or malformed pragmas found in comments.
@@ -36,13 +34,11 @@ impl SourceFile {
     /// Lexes and analyzes one file.
     pub fn parse(path: &str, src: &str) -> SourceFile {
         let tokens = lex(src);
-        let lines = src.lines().map(|l| l.trim().to_string()).collect();
         let test_ranges = find_test_ranges(&tokens);
         let pragmas = find_pragmas(&tokens);
         SourceFile {
             path: path.to_string(),
             tokens,
-            lines,
             test_ranges,
             pragmas,
         }
@@ -53,14 +49,6 @@ impl SourceFile {
         self.test_ranges
             .iter()
             .any(|&(a, b)| a <= line && line <= b)
-    }
-
-    /// The trimmed source text of a 1-based line (empty if out of range).
-    pub fn line_text(&self, line: u32) -> &str {
-        self.lines
-            .get(line.saturating_sub(1) as usize)
-            .map(String::as_str)
-            .unwrap_or("")
     }
 
     /// Pragmas whose target is `line` and whose rule is `rule`.

@@ -1,15 +1,13 @@
-//! Workspace rules: lock discipline (L), hot-path purity (H) and panic
-//! reachability (R), evaluated over the [`crate::callgraph`] view.
+//! Workspace rules: hot-path purity (H) and panic reachability (R),
+//! evaluated over the [`crate::callgraph`] view.
 //!
 //! Unlike the per-file D/P/N families, every rule here asks a question
-//! about *reachability*: what can happen while a guard is held, what
-//! runs inside the tick loop's closure, which public APIs can reach a
-//! panic site. All three inherit the call graph's conservatism — see
-//! the table of known over-approximations in `docs/LINTS.md`.
+//! about *reachability*: what runs inside the tick loop's closure, which
+//! public APIs can reach a panic site. Both inherit the call graph's
+//! conservatism — see the known deviations in `docs/LINTS.md`.
 
-use crate::callgraph::{CallGraph, LockHold};
+use crate::callgraph::CallGraph;
 use crate::rules::{Finding, KERNEL_CRATES};
-use crate::source::SourceFile;
 
 /// Hot-path roots: the entry points whose transitive closure must stay
 /// allocation-free (`(impl type, method)`); the set mirrors DESIGN.md §7.
@@ -90,187 +88,14 @@ pub fn inventory_markdown(rows: &[PanicApi]) -> String {
     out
 }
 
-/// Context handed to the workspace rules by the engine.
-pub struct WsContext<'a> {
-    /// The call graph over every scanned file.
-    pub graph: &'a CallGraph,
-    /// `(crate name, parsed file)` for snippet lookup.
-    pub files: &'a [(String, SourceFile)],
-    /// `docs/PANICS.md` content, if the workspace commits one; `None`
-    /// skips the R rules (mirrors the M-rule behavior without
-    /// `docs/METRICS.md`).
-    pub panic_docs: Option<&'a str>,
-    /// Workspace-relative path of the panic doc (for R002 findings).
-    pub panic_docs_path: &'a str,
-}
-
-/// Runs L, H and R, appending raw (pre-suppression) findings.
-/// Returns the qualified names of the hot roots found in this workspace
-/// (the JSON report's `roots` array).
-pub fn check_workspace(ctx: &WsContext<'_>, findings: &mut Vec<Finding>) -> Vec<String> {
-    check_locks(ctx, findings);
-    let roots = check_hot_paths(ctx, findings);
-    check_panic_docs(ctx, findings);
-    roots
-}
-
-fn snippet(ctx: &WsContext<'_>, file: &str, line: u32) -> String {
-    ctx.files
-        .iter()
-        .find(|(_, f)| f.path == file)
-        .map(|(_, f)| f.line_text(line).to_string())
-        .unwrap_or_default()
-}
-
-fn finding(ctx: &WsContext<'_>, file: &str, line: u32, rule: &str, message: String) -> Finding {
-    Finding {
-        file: file.to_string(),
-        line,
-        rule: rule.to_string(),
-        message,
-        snippet: snippet(ctx, file, line),
-    }
-}
-
-/// Everything one guard-held region can do, after chasing calls through
-/// the graph: the locks it can acquire and the I/O it can reach.
-struct HoldEffects {
-    /// `(lock, how)` — `how` describes the acquisition site.
-    locks: Vec<(String, String)>,
-    /// Human description of the first reachable I/O, if any.
-    io: Option<String>,
-}
-
-/// Chases a hold's in-region calls through the graph and accumulates
-/// reachable lock acquisitions and I/O sites.
-fn hold_effects(graph: &CallGraph, owner_idx: usize, hold: &LockHold) -> HoldEffects {
-    let facts = &graph.fns[owner_idx].facts;
-    let mut locks: Vec<(String, String)> = Vec::new();
-    let mut io: Option<String> = None;
-    // Direct effects inside the region.
-    for &l in &hold.locks {
-        let site = &facts.locks[l];
-        locks.push((site.lock.clone(), format!("acquired on line {}", site.line)));
-    }
-    if let Some(&i) = hold.io.first() {
-        io = Some(format!("`{}` on line {}", facts.io[i].0, facts.io[i].1));
-    }
-    // Transitive effects through every call made while the guard is held.
-    let mut targets: Vec<usize> = Vec::new();
-    for &c in &hold.calls {
-        targets.extend(graph.resolve_call(owner_idx, &facts.calls[c]));
-    }
-    targets.sort_unstable();
-    targets.dedup();
-    let reach = graph.reachable(&targets);
-    for (j, seen) in reach.iter().enumerate() {
-        if !seen {
-            continue;
-        }
-        let callee = &graph.fns[j];
-        for site in &callee.facts.locks {
-            locks.push((
-                site.lock.clone(),
-                format!("acquired in `{}`", callee.qualified()),
-            ));
-        }
-        if io.is_none() {
-            if let Some((what, _)) = callee.facts.io.first() {
-                io = Some(format!("`{}` in `{}`", what, callee.qualified()));
-            }
-        }
-    }
-    HoldEffects { locks, io }
-}
-
-/// L001/L002/L003 over every guard-held region in the workspace.
-fn check_locks(ctx: &WsContext<'_>, findings: &mut Vec<Finding>) {
-    let graph = ctx.graph;
-    // First pass: collect every ordered pair (held → acquired) with its
-    // site, so inconsistency is judged against the whole workspace.
-    struct PairSite {
-        held: String,
-        acquired: String,
-        file: String,
-        line: u32,
-    }
-    let mut pairs: Vec<PairSite> = Vec::new();
-    // (fn idx, hold) worklist reused by all three rules.
-    let mut holds: Vec<(usize, &LockHold, HoldEffects)> = Vec::new();
-    for (i, f) in graph.fns.iter().enumerate() {
-        for hold in &f.facts.holds {
-            let effects = hold_effects(graph, i, hold);
-            for (acquired, _) in &effects.locks {
-                pairs.push(PairSite {
-                    held: hold.lock.clone(),
-                    acquired: acquired.clone(),
-                    file: f.file.clone(),
-                    line: hold.line,
-                });
-            }
-            holds.push((i, hold, effects));
-        }
-    }
-
-    for (i, hold, effects) in &holds {
-        let f = &graph.fns[*i];
-        // L003: re-acquisition of the held lock on one call path.
-        if let Some((_, how)) = effects.locks.iter().find(|(l, _)| *l == hold.lock) {
-            findings.push(finding(
-                ctx,
-                &f.file,
-                hold.line,
-                "L003",
-                format!(
-                    "guard on `{}` still held here while the same lock is {} — self-deadlock on one call path",
-                    hold.lock, how
-                ),
-            ));
-        }
-        // L001: the pairwise order held→acquired is reversed elsewhere.
-        let mut reported: Vec<&str> = Vec::new();
-        for (acquired, how) in &effects.locks {
-            if *acquired == hold.lock || reported.contains(&acquired.as_str()) {
-                continue;
-            }
-            if let Some(rev) = pairs
-                .iter()
-                .find(|p| p.held == *acquired && p.acquired == hold.lock)
-            {
-                reported.push(acquired.as_str());
-                findings.push(finding(
-                    ctx,
-                    &f.file,
-                    hold.line,
-                    "L001",
-                    format!(
-                        "lock order `{}` → `{}` here ({how}) conflicts with `{}` → `{}` at {}:{} — deadlock cycle",
-                        hold.lock, acquired, rev.held, rev.acquired, rev.file, rev.line
-                    ),
-                ));
-            }
-        }
-        // L002: file/network I/O while the guard is held.
-        if let Some(io) = &effects.io {
-            findings.push(finding(
-                ctx,
-                &f.file,
-                hold.line,
-                "L002",
-                format!(
-                    "guard on `{}` held across I/O: {io}; release the lock before blocking",
-                    hold.lock
-                ),
-            ));
-        }
-    }
-}
+/// Workspace-relative path of the committed panic inventory.
+pub const PANIC_DOCS: &str = "docs/PANICS.md";
 
 /// H001/H002 over the closure reachable from [`HOT_ROOTS`]; findings are
 /// restricted to kernel-crate files (the conservative graph reaches
-/// tooling code whose allocations are fine).
-fn check_hot_paths(ctx: &WsContext<'_>, findings: &mut Vec<Finding>) -> Vec<String> {
-    let graph = ctx.graph;
+/// tooling code whose allocations are fine). Returns the qualified names
+/// of the roots found in this workspace.
+pub fn check_hot_paths(graph: &CallGraph, findings: &mut Vec<Finding>) -> Vec<String> {
     let mut root_ids: Vec<usize> = Vec::new();
     let mut root_names: Vec<String> = Vec::new();
     for (owner, name) in HOT_ROOTS {
@@ -291,8 +116,7 @@ fn check_hot_paths(ctx: &WsContext<'_>, findings: &mut Vec<Finding>) -> Vec<Stri
             continue;
         }
         for (what, line) in &f.facts.allocs {
-            findings.push(finding(
-                ctx,
+            findings.push(Finding::new(
                 &f.file,
                 *line,
                 "H001",
@@ -303,8 +127,7 @@ fn check_hot_paths(ctx: &WsContext<'_>, findings: &mut Vec<Finding>) -> Vec<Stri
             ));
         }
         for line in &f.facts.clones {
-            findings.push(finding(
-                ctx,
+            findings.push(Finding::new(
                 &f.file,
                 *line,
                 "H002",
@@ -318,39 +141,33 @@ fn check_hot_paths(ctx: &WsContext<'_>, findings: &mut Vec<Finding>) -> Vec<Stri
     root_names
 }
 
-/// R001/R002: the committed panic inventory must match the computed one
-/// in both directions. Skipped when the workspace has no `docs/PANICS.md`.
-fn check_panic_docs(ctx: &WsContext<'_>, findings: &mut Vec<Finding>) {
-    let Some(doc) = ctx.panic_docs else {
-        return;
-    };
-    let inventory = panic_inventory(ctx.graph);
+/// R001/R002: the committed panic inventory (`doc`, the text of
+/// [`PANIC_DOCS`]) must match the computed `inventory` in both directions.
+pub fn check_panic_docs(doc: &str, inventory: &[PanicApi], findings: &mut Vec<Finding>) {
     let documented = documented_panic_apis(doc);
-    for api in &inventory {
+    for api in inventory {
         if !documented.iter().any(|(name, _)| name == &api.name) {
-            findings.push(finding(
-                ctx,
+            findings.push(Finding::new(
                 &api.file,
                 api.line,
                 "R001",
                 format!(
                     "public API `{}` can transitively panic ({}) but is not documented in {}",
-                    api.name, api.via, ctx.panic_docs_path
+                    api.name, api.via, PANIC_DOCS
                 ),
             ));
         }
     }
     for (name, line) in &documented {
         if !inventory.iter().any(|api| &api.name == name) {
-            findings.push(Finding {
-                file: ctx.panic_docs_path.to_string(),
-                line: *line,
-                rule: "R002".to_string(),
-                message: format!(
+            findings.push(Finding::new(
+                PANIC_DOCS,
+                *line,
+                "R002",
+                format!(
                     "`{name}` is documented as panicking but the analyzer no longer finds a panic path — stale row"
                 ),
-                snippet: name.clone(),
-            });
+            ));
         }
     }
 }
@@ -358,7 +175,7 @@ fn check_panic_docs(ctx: &WsContext<'_>, findings: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
+    use crate::source::SourceFile;
 
     fn ctx_files(srcs: &[(&str, &str, &str)]) -> Vec<(String, SourceFile)> {
         srcs.iter()
@@ -372,69 +189,16 @@ mod tests {
     ) -> (Vec<Finding>, Vec<String>) {
         let refs: Vec<(String, &SourceFile)> = files.iter().map(|(k, f)| (k.clone(), f)).collect();
         let graph = CallGraph::build(&refs);
-        let ctx = WsContext {
-            graph: &graph,
-            files,
-            panic_docs,
-            panic_docs_path: "docs/PANICS.md",
-        };
         let mut findings = Vec::new();
-        let roots = check_workspace(&ctx, &mut findings);
+        let roots = check_hot_paths(&graph, &mut findings);
+        if let Some(doc) = panic_docs {
+            check_panic_docs(doc, &panic_inventory(&graph), &mut findings);
+        }
         (findings, roots)
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&str> {
         findings.iter().map(|f| f.rule.as_str()).collect()
-    }
-
-    #[test]
-    fn l001_fires_on_reversed_order_only() {
-        let files = ctx_files(&[(
-            "core",
-            "crates/core/src/runner.rs",
-            "fn ab() { let a = A.lock(); let b = B.lock(); }\n\
-             fn ba() { let b = B.lock(); let a = A.lock(); }\n\
-             fn consistent() { let a = A.lock(); let c = C.lock(); }\n",
-        )]);
-        let (findings, _) = run(&files, None);
-        let l001: Vec<&Finding> = findings.iter().filter(|f| f.rule == "L001").collect();
-        assert_eq!(l001.len(), 2, "one per conflicting site: {findings:?}");
-        assert!(l001.iter().all(|f| f.line <= 2));
-    }
-
-    #[test]
-    fn l002_fires_on_transitive_io() {
-        let files = ctx_files(&[(
-            "core",
-            "crates/core/src/runner.rs",
-            "fn f() { let g = M.lock(); helper(); }\n\
-             fn helper() { deeper(); }\n\
-             fn deeper() { fs::write(\"p\", \"x\"); }\n",
-        )]);
-        let (findings, _) = run(&files, None);
-        assert!(rules_of(&findings).contains(&"L002"), "{findings:?}");
-    }
-
-    #[test]
-    fn l003_fires_on_reachable_reacquisition() {
-        let files = ctx_files(&[(
-            "core",
-            "crates/core/src/runner.rs",
-            "fn f() { let g = M.lock(); helper(); }\nfn helper() { let h = M.lock(); }\n",
-        )]);
-        let (findings, _) = run(&files, None);
-        assert!(rules_of(&findings).contains(&"L003"), "{findings:?}");
-    }
-
-    #[test]
-    fn drop_before_io_is_clean() {
-        let files = ctx_files(&[(
-            "core",
-            "crates/core/src/runner.rs",
-            "fn f() { let g = M.lock(); drop(g); fs::write(\"p\", \"x\"); }\n",
-        )]);
-        let (findings, _) = run(&files, None);
-        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]

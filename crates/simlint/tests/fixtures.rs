@@ -1,51 +1,50 @@
 //! Integration tests against the fixture workspace in
 //! `tests/fixtures/ws/`: every rule fires exactly once on its injected
-//! violation, every pragma'd twin is suppressed, the baseline file
-//! suppresses its one entry, and the JSON report matches the checked-in
-//! snapshot byte for byte.
+//! violation, every pragma'd twin is suppressed, and the text report
+//! matches the checked-in snapshot byte for byte.
 
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
-use stacksim_simlint::{engine, Options};
+use stacksim_simlint::engine;
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws")
 }
 
-fn scan(opts: &Options) -> engine::Report {
-    engine::scan(&fixture_root(), opts).expect("fixture scan succeeds")
+fn scan() -> engine::Report {
+    engine::scan(&fixture_root()).expect("fixture scan succeeds")
 }
 
 #[test]
 fn every_rule_fires_on_its_injected_violation() {
-    let report = scan(&Options::default());
+    let report = scan();
     let mut rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
     rules.sort_unstable();
     assert_eq!(
         rules,
         [
-            "D001", "D002", "D003", "H001", "H002", "L001", "L001", "L002", "L003", "M001", "M001",
-            "M002", "N001", "P001", "P001", "P002", "P003", "P004", "R001", "R002", "X001", "X002"
+            "D001", "D002", "D003", "H001", "H002", "M001", "M001", "M002", "N001", "P001", "P001",
+            "P002", "P003", "P004", "R001", "R002", "X001", "X002"
         ],
         "unexpected finding set:\n{}",
         report.to_text()
     );
-    // Each violation has a pragma'd twin that must be suppressed (L001's
-    // twin is a second lock pair, X002's an acknowledged stale pragma);
-    // rule M001's pragma support is covered by the workspace's own
-    // pragmas, and R002 has no twin — pragmas only live in Rust source.
-    assert_eq!(report.suppressed_by_pragma, 16);
-    assert_eq!(report.suppressed_by_baseline, 0);
-    assert_eq!(report.files_scanned, 4);
+    // Each violation has a pragma'd twin that must be suppressed (X002's
+    // is an acknowledged stale pragma); rule M001's pragma support is
+    // covered by the workspace's own pragmas, and R002 has no twin —
+    // pragmas only live in Rust source.
+    assert_eq!(report.suppressed_by_pragma, 12);
+    assert_eq!(report.files_scanned, 3);
 }
 
 #[test]
 fn graph_summary_covers_the_fixture_workspace() {
-    let report = scan(&Options::default());
+    let report = scan();
     let graph = &report.graph;
     assert!(graph.nodes > 0 && graph.edges > 0);
-    // lib.rs + hot.rs + locksvc contribute symbols; util does too.
-    assert_eq!(graph.files_with_symbols, 4);
+    // lib.rs + hot.rs in dram, and util, all contribute symbols.
+    assert_eq!(graph.files_with_symbols, 3);
     assert!(
         graph.roots.iter().any(|r| r == "dram::System::tick"),
         "fixture tick root not found: {:?}",
@@ -55,24 +54,29 @@ fn graph_summary_covers_the_fixture_workspace() {
 
 #[test]
 fn only_filter_restricts_the_report() {
-    let report = scan(&Options::default());
-    let locks: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule.starts_with('L'))
+    let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
+        .arg("--root")
+        .arg(fixture_root())
+        .args(["--only", "p001"])
+        .output()
+        .expect("simlint binary runs");
+    assert_eq!(out.status.code(), Some(1), "findings remain: exit 1");
+    let text = String::from_utf8(out.stdout).expect("utf-8 report");
+    let findings: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.starts_with("simlint:"))
         .collect();
-    assert_eq!(
-        locks.len(),
-        4,
-        "L001 x2 + L002 + L003:\n{}",
-        report.to_text()
+    assert_eq!(findings.len(), 2, "the two unsuppressed P001s:\n{text}");
+    assert!(findings.iter().all(|l| l.contains(":P001: ")), "{text}");
+    assert!(
+        text.ends_with("2 finding(s), 12 suppressed by pragma\n"),
+        "{text}"
     );
-    assert!(locks.iter().all(|f| f.file == "crates/locksvc/src/lib.rs"));
 }
 
 #[test]
 fn kernel_rules_do_not_apply_outside_kernel_crates() {
-    let report = scan(&Options::default());
+    let report = scan();
     // util/src/lib.rs has unwrap()s but is not a kernel crate: no D/P/N
     // findings there — only metric drift and the workspace-wide rule
     // families (panic inventory, pragma hygiene).
@@ -85,7 +89,7 @@ fn kernel_rules_do_not_apply_outside_kernel_crates() {
 
 #[test]
 fn test_code_is_exempt_from_kernel_rules() {
-    let report = scan(&Options::default());
+    let report = scan();
     // The #[cfg(test)] module in the fixture repeats an unwrap and an
     // Instant::now(); neither may be flagged (lines 48-53).
     assert!(report
@@ -97,7 +101,7 @@ fn test_code_is_exempt_from_kernel_rules() {
 
 #[test]
 fn malformed_pragma_is_flagged_and_does_not_suppress() {
-    let report = scan(&Options::default());
+    let report = scan();
     let on_line = |rule: &str| {
         report
             .findings
@@ -117,38 +121,15 @@ fn malformed_pragma_is_flagged_and_does_not_suppress() {
 }
 
 #[test]
-fn baseline_suppresses_exactly_its_entry() {
-    let opts = Options {
-        baseline: Some(fixture_root().join("baseline.txt")),
-    };
-    let report = scan(&opts);
-    assert_eq!(report.suppressed_by_baseline, 1);
-    assert!(
-        !report
-            .findings
-            .iter()
-            .any(|f| f.snippet.contains("baselined_metric")),
-        "baselined finding still reported:\n{}",
-        report.to_text()
-    );
-    // The other M001 finding is untouched.
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.rule == "M001" && f.snippet.contains("undocumented_metric")));
-}
-
-#[test]
-fn json_report_matches_snapshot() {
-    let report = scan(&Options::default());
+fn text_report_matches_snapshot() {
     let expected = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/expected.json"),
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/expected.txt"),
     )
     .expect("snapshot file present");
     assert_eq!(
-        report.to_json(),
+        scan().to_text(),
         expected,
-        "JSON report drifted from tests/fixtures/expected.json; \
+        "text report drifted from tests/fixtures/expected.txt; \
          if the change is intentional, update the snapshot"
     );
 }

@@ -8,7 +8,7 @@ pub fn report(sink: &mut MetricsSink) {
     let _ = x.unwrap();
     sink.counter("good_metric", 1);
     sink.counter("undocumented_metric", 1);
-    sink.counter("baselined_metric", 1);
+    sink.counter("prose_only_metric", 1);
 }
 
 pub fn undocumented_panic(x: Option<u32>) -> u32 {
