@@ -84,7 +84,7 @@ type ExpFn = fn(&Ctx) -> ExpResult;
 /// Metric tree of a Figure 7-style variant sweep (shared with Figure 9,
 /// whose result has the same row shape).
 fn sweep_sink(
-    name: &str,
+    name: &'static str,
     rows: &[(&'static Mix, &[f64])],
     labels: &[String],
     gm_hvh: Option<&[f64]>,
@@ -107,7 +107,7 @@ fn sweep_sink(
     sink
 }
 
-fn figure7_sink(name: &str, r: &Figure7Result) -> MetricsSink {
+fn figure7_sink(name: &'static str, r: &Figure7Result) -> MetricsSink {
     let labels: Vec<String> = r.variants.iter().map(|v| v.label()).collect();
     let rows: Vec<(&'static Mix, &[f64])> = r
         .rows
@@ -117,7 +117,7 @@ fn figure7_sink(name: &str, r: &Figure7Result) -> MetricsSink {
     sweep_sink(name, &rows, &labels, r.gm_hvh_pct.as_deref(), &r.gm_all_pct)
 }
 
-fn figure9_sink(name: &str, r: &Figure9Result) -> MetricsSink {
+fn figure9_sink(name: &'static str, r: &Figure9Result) -> MetricsSink {
     let labels: Vec<String> = r.variants.iter().map(|v| v.label().to_string()).collect();
     let rows: Vec<(&'static Mix, &[f64])> = r
         .rows
@@ -130,7 +130,7 @@ fn figure9_sink(name: &str, r: &Figure9Result) -> MetricsSink {
 }
 
 /// Metric tree for a single-number ablation.
-fn scalar_sink(name: &str, metric: &str, value: f64) -> MetricsSink {
+fn scalar_sink(name: &'static str, metric: &'static str, value: f64) -> MetricsSink {
     let mut sink = MetricsSink::new(name);
     sink.gauge(metric, value);
     sink

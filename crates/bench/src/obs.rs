@@ -253,7 +253,7 @@ pub fn load_outputs(dir: &Path) -> Result<(Manifest, Vec<(String, MetricsSink)>)
         let json =
             Json::parse(&text).map_err(|e| ObsError::Malformed(path.clone(), e.to_string()))?;
         let sink =
-            MetricsSink::from_json(&json).map_err(|e| ObsError::Malformed(path.clone(), e))?;
+            MetricsSink::from_json(json).map_err(|e| ObsError::Malformed(path.clone(), e))?;
         results.push((name.clone(), sink));
     }
     Ok((manifest, results))

@@ -1313,11 +1313,12 @@ impl System {
         sink.counter("mshr_occupancy", occupancy as u64);
         self.l2.write_metrics(sink.child_mut("l2"));
         for core in &self.cores {
-            core.write_metrics(sink.child_mut(&format!("core{}", core.id().index())));
+            core.write_metrics(sink.child_mut(format!("core{}", core.id().index())));
         }
         for mc in &self.mcs {
-            mc.write_metrics(sink.child_mut(&format!("mc{}", mc.id().index())));
+            mc.write_metrics(sink.child_mut(format!("mc{}", mc.id().index())));
         }
+        sink.shrink_to_fit();
         sink
     }
 }

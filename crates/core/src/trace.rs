@@ -140,7 +140,7 @@ impl Trace {
     pub fn summary(&self) -> MetricsSink {
         let mut sink = MetricsSink::new("trace");
         for (i, cmds) in self.dram_cmds.iter().enumerate() {
-            let mc = sink.child_mut(&format!("mc{i}"));
+            let mc = sink.child_mut(format!("mc{i}"));
             mc.counter("dram_cmds", cmds.len() as u64);
             for kind in [
                 stacksim_dram::DramCmdKind::Activate,

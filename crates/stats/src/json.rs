@@ -92,6 +92,18 @@ impl Json {
         }
     }
 
+    /// Moves a member's value out of an object, leaving `null` in its
+    /// place; `None` on other variants or a missing key.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(members) => members
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| core::mem::replace(v, Json::Null)),
+            _ => None,
+        }
+    }
+
     /// The numeric value, if this is a number.
     pub const fn as_f64(&self) -> Option<f64> {
         match self {
@@ -459,6 +471,15 @@ mod tests {
         assert_eq!(a[0].as_f64(), Some(1.0));
         assert_eq!(a[1].get("b"), Some(&Json::Null));
         assert_eq!(v.get("c").unwrap().as_str(), Some("x"));
+    }
+
+    #[test]
+    fn take_moves_a_member_out() {
+        let mut v = Json::parse(r#"{"a": 1, "c": "x"}"#).unwrap();
+        assert_eq!(v.take("c"), Some(Json::Str("x".into())));
+        assert_eq!(v.get("c"), Some(&Json::Null));
+        assert_eq!(v.take("nope"), None);
+        assert_eq!(Json::Num(1.0).take("a"), None);
     }
 
     #[test]

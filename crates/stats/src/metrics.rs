@@ -6,6 +6,11 @@
 //! Insertion order of both metrics and children is preserved so exports
 //! read in the same stable order as the human-facing tables.
 //!
+//! Names are `Cow<'static, str>`: the literal names devices write
+//! (`"dl1.hits"`, …) are borrowed, names built with `format!` or read from
+//! JSON are owned. A histogram's summary is boxed, so every
+//! [`MetricValue`] is 16 bytes and a `(name, value)` entry 40.
+//!
 //! Sinks serialize to JSON ([`MetricsSink::to_json`]), round-trip back
 //! from it, and can be diffed against a baseline with a relative tolerance
 //! ([`MetricsSink::diff`]) — the machinery behind `reproduce --out` /
@@ -26,10 +31,11 @@
 //! assert_eq!(sys.get("l2.miss_rate"), Some(0.1));
 //!
 //! let json = sys.to_json();
-//! assert_eq!(MetricsSink::from_json(&json).unwrap(), sys);
+//! assert_eq!(MetricsSink::from_json(json).unwrap(), sys);
 //! ```
 
 use core::fmt;
+use std::borrow::Cow;
 
 use crate::json::Json;
 use crate::Histogram;
@@ -63,14 +69,17 @@ impl HistSummary {
 }
 
 /// One exported metric value.
-#[derive(Clone, Copy, Debug, PartialEq)]
+///
+/// 16 bytes: the rarely used histogram summary is boxed so that it does
+/// not set the size of every counter and gauge.
+#[derive(Clone, Debug, PartialEq)]
 pub enum MetricValue {
     /// A monotonic event count (row hits, retries, committed instructions).
     Counter(u64),
     /// A point-in-time or derived value (rates, means, temperatures).
     Gauge(f64),
     /// A distribution summary.
-    Histogram(HistSummary),
+    Histogram(Box<HistSummary>),
 }
 
 impl MetricValue {
@@ -92,8 +101,8 @@ impl MetricValue {
 /// `docs/METRICS.md` documents the full schema.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct MetricsSink {
-    name: String,
-    metrics: Vec<(String, MetricValue)>,
+    name: Cow<'static, str>,
+    metrics: Vec<(Cow<'static, str>, MetricValue)>,
     children: Vec<MetricsSink>,
 }
 
@@ -124,7 +133,7 @@ impl fmt::Display for MetricDiff {
 
 impl MetricsSink {
     /// Creates an empty sink for a named component.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
         MetricsSink {
             name: name.into(),
             metrics: Vec::new(),
@@ -138,21 +147,24 @@ impl MetricsSink {
     }
 
     /// Records (or overwrites) a counter metric.
-    pub fn counter(&mut self, name: impl Into<String>, value: u64) {
+    pub fn counter(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
         self.set(name.into(), MetricValue::Counter(value));
     }
 
     /// Records (or overwrites) a gauge metric.
-    pub fn gauge(&mut self, name: impl Into<String>, value: f64) {
+    pub fn gauge(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
         self.set(name.into(), MetricValue::Gauge(value));
     }
 
     /// Records (or overwrites) a histogram summary metric.
-    pub fn histogram(&mut self, name: impl Into<String>, h: &Histogram) {
-        self.set(name.into(), MetricValue::Histogram(HistSummary::of(h)));
+    pub fn histogram(&mut self, name: impl Into<Cow<'static, str>>, h: &Histogram) {
+        self.set(
+            name.into(),
+            MetricValue::Histogram(Box::new(HistSummary::of(h))),
+        );
     }
 
-    fn set(&mut self, name: String, value: MetricValue) {
+    fn set(&mut self, name: Cow<'static, str>, value: MetricValue) {
         if let Some(m) = self.metrics.iter_mut().find(|(n, _)| *n == name) {
             m.1 = value;
         } else {
@@ -162,7 +174,8 @@ impl MetricsSink {
 
     /// Returns the child component with this name, creating it (at the end
     /// of the child list) if absent.
-    pub fn child_mut(&mut self, name: &str) -> &mut MetricsSink {
+    pub fn child_mut(&mut self, name: impl Into<Cow<'static, str>>) -> &mut MetricsSink {
+        let name = name.into();
         if let Some(i) = self.children.iter().position(|c| c.name == name) {
             &mut self.children[i]
         } else {
@@ -183,7 +196,7 @@ impl MetricsSink {
 
     /// This component's own `(name, value)` metrics in insertion order.
     pub fn metrics(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
-        self.metrics.iter().map(|(n, v)| (n.as_str(), v))
+        self.metrics.iter().map(|(n, v)| (n.as_ref(), v))
     }
 
     /// Looks up a metric by dotted path relative to this node, e.g.
@@ -225,6 +238,16 @@ impl MetricsSink {
         }
     }
 
+    /// Drops the spare capacity of every node's metric and child lists, so
+    /// a tree kept for the rest of a run costs only its entries.
+    pub fn shrink_to_fit(&mut self) {
+        self.metrics.shrink_to_fit();
+        for child in &mut self.children {
+            child.shrink_to_fit();
+        }
+        self.children.shrink_to_fit();
+    }
+
     /// Total number of metrics in this node and all descendants.
     pub fn len(&self) -> usize {
         self.metrics.len() + self.children.iter().map(MetricsSink::len).sum::<usize>()
@@ -254,18 +277,19 @@ impl MetricsSink {
                         ("overflow".into(), Json::Num(h.overflow as f64)),
                     ]),
                 };
-                (n.clone(), jv)
+                (n.to_string(), jv)
             })
             .collect();
         let children = self.children.iter().map(MetricsSink::to_json).collect();
         Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
+            ("name".into(), Json::Str(self.name.to_string())),
             ("metrics".into(), Json::Obj(metrics)),
             ("children".into(), Json::Arr(children)),
         ])
     }
 
-    /// Reconstructs a sink from [`MetricsSink::to_json`] output.
+    /// Reconstructs a sink from [`MetricsSink::to_json`] output, moving
+    /// its names out of `v` and sizing every list exactly.
     ///
     /// Counters round-trip as counters (an integer-valued number whose name
     /// was written by [`MetricsSink::counter`] comes back as
@@ -276,18 +300,23 @@ impl MetricsSink {
     /// # Errors
     ///
     /// Returns a message describing the first structural mismatch.
-    pub fn from_json(v: &Json) -> Result<MetricsSink, String> {
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("metrics node missing string 'name'")?;
-        let mut sink = MetricsSink::new(name);
-        let metrics = v
-            .get("metrics")
-            .and_then(Json::as_obj)
-            .ok_or("metrics node missing object 'metrics'")?;
+    pub fn from_json(mut v: Json) -> Result<MetricsSink, String> {
+        let Some(Json::Str(name)) = v.take("name") else {
+            return Err("metrics node missing string 'name'".into());
+        };
+        let Some(Json::Obj(metrics)) = v.take("metrics") else {
+            return Err("metrics node missing object 'metrics'".into());
+        };
+        let Some(Json::Arr(children)) = v.take("children") else {
+            return Err("metrics node missing array 'children'".into());
+        };
+        let mut sink = MetricsSink {
+            name: name.into(),
+            metrics: Vec::with_capacity(metrics.len()),
+            children: Vec::with_capacity(children.len()),
+        };
         for (mname, mval) in metrics {
-            let value = match mval {
+            let value = match &mval {
                 Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < 9.0e15 => {
                     MetricValue::Counter(*n as u64)
                 }
@@ -298,22 +327,18 @@ impl MetricsSink {
                             .and_then(Json::as_f64)
                             .ok_or_else(|| format!("histogram '{mname}' missing '{k}'"))
                     };
-                    MetricValue::Histogram(HistSummary {
+                    MetricValue::Histogram(Box::new(HistSummary {
                         count: field("count")? as u64,
                         mean: field("mean")?,
                         p50: field("p50")? as u64,
                         max: field("max")? as u64,
                         overflow: field("overflow")? as u64,
-                    })
+                    }))
                 }
                 other => return Err(format!("metric '{mname}' has invalid value {other}")),
             };
-            sink.set(mname.clone(), value);
+            sink.set(mname.into(), value);
         }
-        let children = v
-            .get("children")
-            .and_then(Json::as_arr)
-            .ok_or("metrics node missing array 'children'")?;
         for child in children {
             sink.children.push(MetricsSink::from_json(child)?);
         }
@@ -437,8 +462,47 @@ mod tests {
     #[test]
     fn json_round_trip_is_lossless() {
         let s = sample();
-        let parsed = MetricsSink::from_json(&Json::parse(&s.to_json().pretty()).unwrap()).unwrap();
+        assert!(matches!(
+            s.get_value("probes"),
+            Some(MetricValue::Histogram(_))
+        ));
+        let parsed = MetricsSink::from_json(Json::parse(&s.to_json().pretty()).unwrap()).unwrap();
         assert_eq!(parsed, s);
+    }
+
+    #[test]
+    fn a_metric_entry_is_forty_bytes() {
+        assert_eq!(size_of::<MetricValue>(), 16);
+        assert_eq!(size_of::<(Cow<'static, str>, MetricValue)>(), 40);
+    }
+
+    #[test]
+    fn literal_names_are_borrowed() {
+        let mut s = MetricsSink::new("system");
+        s.counter("x", 1);
+        s.counter(format!("core{}", 0), 2);
+        assert!(matches!(s.name, Cow::Borrowed("system")));
+        assert!(matches!(s.metrics[0].0, Cow::Borrowed("x")));
+        assert!(matches!(s.metrics[1].0, Cow::Owned(_)));
+        assert!(matches!(s.child_mut("l2").name, Cow::Borrowed("l2")));
+    }
+
+    /// Whether every node of the tree holds no spare list capacity.
+    fn exactly_sized(s: &MetricsSink) -> bool {
+        s.metrics.capacity() == s.metrics.len()
+            && s.children.capacity() == s.children.len()
+            && s.children.iter().all(exactly_sized)
+    }
+
+    #[test]
+    fn shrunk_and_decoded_trees_have_no_spare_capacity() {
+        let mut s = sample();
+        assert!(!exactly_sized(&s), "a built tree keeps growth slack");
+        s.shrink_to_fit();
+        assert!(exactly_sized(&s));
+        assert!(exactly_sized(
+            &MetricsSink::from_json(sample().to_json()).unwrap()
+        ));
     }
 
     #[test]
@@ -447,7 +511,7 @@ mod tests {
         // tag), but its scalar view — all that diffing uses — is unchanged.
         let mut s = MetricsSink::new("x");
         s.gauge("whole", 4.0);
-        let back = MetricsSink::from_json(&s.to_json()).unwrap();
+        let back = MetricsSink::from_json(s.to_json()).unwrap();
         assert_eq!(back.get("whole"), Some(4.0));
         assert_eq!(back.flatten(), s.flatten());
     }
@@ -497,11 +561,11 @@ mod tests {
 
     #[test]
     fn from_json_rejects_malformed() {
-        assert!(MetricsSink::from_json(&Json::parse("{}").unwrap()).is_err());
+        assert!(MetricsSink::from_json(Json::parse("{}").unwrap()).is_err());
         let bad = Json::parse(r#"{"name":"x","metrics":{"m":"str"},"children":[]}"#).unwrap();
-        assert!(MetricsSink::from_json(&bad).is_err());
+        assert!(MetricsSink::from_json(bad).is_err());
         let bad_hist =
             Json::parse(r#"{"name":"x","metrics":{"h":{"count":1}},"children":[]}"#).unwrap();
-        assert!(MetricsSink::from_json(&bad_hist).is_err());
+        assert!(MetricsSink::from_json(bad_hist).is_err());
     }
 }

@@ -378,7 +378,7 @@ impl Store {
             // for an operator, report a miss.
             Err(_) => return None,
         };
-        let envelope = match Json::parse(&text) {
+        let mut envelope = match Json::parse(&text) {
             Ok(v) => v,
             Err(_) => {
                 self.quarantine(key, QuarantineReason::Unparseable);
@@ -390,13 +390,13 @@ impl Store {
             return None;
         }
         let (Some(payload), Some(stored)) = (
-            envelope.get("payload"),
+            envelope.take("payload"),
             envelope.get("checksum").and_then(Json::as_str),
         ) else {
             self.quarantine(key, QuarantineReason::Schema);
             return None;
         };
-        if format!("{:016x}", checksum(payload)) != stored {
+        if format!("{:016x}", checksum(&payload)) != stored {
             self.quarantine(key, QuarantineReason::Checksum);
             return None;
         }
@@ -566,7 +566,8 @@ fn encode_payload(result: &RunResult) -> Json {
 /// Rebuilds a [`RunResult`] from a checksummed payload. `mix` is the
 /// registry name the caller asked for (already verified to match the
 /// payload's own `mix` field).
-fn decode_payload(payload: &Json, mix: &'static str) -> Result<RunResult, String> {
+fn decode_payload(mut payload: Json, mix: &'static str) -> Result<RunResult, String> {
+    let stats = MetricsSink::from_json(payload.take("stats").ok_or("payload 'stats' missing")?)?;
     let f64s = |key: &str| -> Result<Vec<f64>, String> {
         payload
             .get(key)
@@ -583,7 +584,6 @@ fn decode_payload(payload: &Json, mix: &'static str) -> Result<RunResult, String
         .get("hmipc")
         .and_then(Json::as_f64)
         .ok_or("payload 'hmipc' missing or not a number")?;
-    let stats = MetricsSink::from_json(payload.get("stats").ok_or("payload 'stats' missing")?)?;
     Ok(RunResult {
         mix,
         per_core_ipc: f64s("per_core_ipc")?,
