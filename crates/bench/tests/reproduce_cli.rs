@@ -1,5 +1,6 @@
 //! End-to-end exit-code contract of the `reproduce` binary's
-//! `--out`/`--baseline` workflow, driven through the real executable.
+//! `--out`/`--baseline` workflow, and the `--timings` artifact, driven
+//! through the real executable.
 //!
 //! Uses the `thermal` experiment (no simulations) so each invocation is
 //! near-instant; the diff machinery is identical for every experiment.
@@ -7,6 +8,8 @@
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
+
+use stacksim_stats::Json;
 
 fn reproduce() -> Command {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
@@ -114,4 +117,60 @@ fn missing_baseline_directory_is_an_error() {
         .output()
         .expect("run reproduce");
     assert!(!out.status.success());
+}
+
+/// The `--timings` artifact, as stackbench's `parse_timings` reads it: one
+/// entry per experiment that ran, in registry order whatever the order of
+/// the `--only` flags.
+#[test]
+fn timings_artifact_lists_each_experiment_in_registry_order() {
+    let dir = tmp("timings");
+    fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("timings.json");
+    let out = reproduce()
+        .args([
+            "--quick",
+            "--only",
+            "ablation-smart-refresh",
+            "--only",
+            "thermal",
+        ])
+        .arg("--timings")
+        .arg(&file)
+        .output()
+        .expect("run reproduce --timings");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let doc = Json::parse(&fs::read_to_string(&file).unwrap()).unwrap();
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("stacksim-bench-timings/1")
+    );
+    let experiments = doc.get("experiments").and_then(Json::as_arr).unwrap();
+    let names: Vec<_> = experiments
+        .iter()
+        .map(|e| e.get("name").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(names, ["thermal", "ablation-smart-refresh"]);
+    let num = |e: &Json, key: &str| {
+        e.get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("{key} missing"))
+    };
+    for e in experiments {
+        assert!(num(e, "wall_seconds") > 0.0);
+        let cycles = num(e, "skipped_cycles") + num(e, "ticked_cycles");
+        let fraction = e.get("skipped_fraction").unwrap();
+        assert_eq!(cycles == 0.0, fraction == &Json::Null, "{fraction:?}");
+    }
+    // `thermal` simulates no machine; `ablation-smart-refresh` drives
+    // `System` directly, and its cycles count too.
+    assert_eq!(num(&experiments[0], "ticked_cycles"), 0.0);
+    assert_eq!(num(&experiments[0], "skipped_cycles"), 0.0);
+    assert!(num(&experiments[1], "ticked_cycles") > 0.0);
+    fs::remove_dir_all(&dir).unwrap();
 }
