@@ -1,16 +1,14 @@
-//! Bench: the cost of the observability layer on the simulator hot loop.
+//! Bench: the cost of DRAM command tracing on the simulator hot loop.
 //!
-//! `tracing_off` must match the pre-observability baseline — with
-//! `TraceConfig::off()` the per-tick cost is a single `Option`
-//! discriminant check, so the two bars should be indistinguishable.
-//! `tracing_all` shows the (opt-in) price of recording every DRAM
-//! command plus MSHR/queue occupancy samples.
+//! `tracing_off` is the plain run: with tracing off each issued request
+//! pays a single `Option` discriminant check in its memory controller.
+//! `tracing_dram` shows the (opt-in) price of recording every DRAM
+//! command (`RunConfig::with_dram_trace`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use stacksim::runner::{run_mix, RunConfig};
 use stacksim::scenario::Machines;
-use stacksim::trace::TraceConfig;
 use stacksim_bench::bench_run;
 use stacksim_workload::Mix;
 
@@ -21,7 +19,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
     group.sample_size(10);
     for (label, run) in [
         ("tracing_off", bench_run()),
-        ("tracing_all", bench_run().with_trace(TraceConfig::all())),
+        ("tracing_dram", bench_run().with_dram_trace()),
     ] {
         // Fresh seeds per iteration would defeat the point; the memo is
         // keyed on (cfg, mix, run), so vary the seed to force real runs.

@@ -62,7 +62,6 @@ use stacksim::experiments::{
 };
 use stacksim::runner::{RunConfig, RunPoint, Session};
 use stacksim::scenario::{Machines, Scenario};
-use stacksim::trace::TraceConfig;
 use stacksim_bench::full_run;
 use stacksim_bench::obs;
 use stacksim_simcheck::protocol::{check_trace, ProtocolParams};
@@ -507,7 +506,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // Durable result store: every simulation point of the session first
     // consults `<dir>` and writes through on a miss. Traced runs
-    // (--check-protocol) bypass it — event streams are not persisted.
+    // (--check-protocol) bypass it — command streams are not persisted.
     let store = match &opts.store {
         Some(dir) => Some(stacksim_store::Store::open(dir).map_err(|e| e.to_string())?),
         None => None,
@@ -547,10 +546,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 full_run()
             };
             if opts.check_protocol {
-                run = run.with_trace(TraceConfig {
-                    dram_cmds: true,
-                    ..TraceConfig::off()
-                });
+                run = run.with_dram_trace();
             }
             run
         },
@@ -629,14 +625,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut runs = 0usize;
         let mut commands = 0usize;
         ctx.session.for_each_cached_run(|cfg, mix, run, result| {
-            if !run.trace.dram_cmds {
+            if !run.dram_trace {
                 return;
             }
             let Some(trace) = result.trace.as_ref() else {
                 return;
             };
             runs += 1;
-            commands += trace.dram_cmds.iter().map(Vec::len).sum::<usize>();
+            commands += trace.iter().map(Vec::len).sum::<usize>();
             match ProtocolParams::for_config(cfg) {
                 Ok(params) => {
                     let found = check_trace(&params, trace);

@@ -1,9 +1,10 @@
 //! End-to-end exit-code contract of the `reproduce` binary's
-//! `--out`/`--baseline` workflow, and the `--timings` artifact, driven
-//! through the real executable.
+//! `--out`/`--baseline` workflow, the `--timings` artifact and the
+//! `--check-protocol` audit, driven through the real executable.
 //!
-//! Uses the `thermal` experiment (no simulations) so each invocation is
-//! near-instant; the diff machinery is identical for every experiment.
+//! The diff tests use the `thermal` experiment (no simulations) so each
+//! invocation is near-instant; the diff machinery is identical for every
+//! experiment.
 
 use std::fs;
 use std::path::PathBuf;
@@ -173,4 +174,36 @@ fn timings_artifact_lists_each_experiment_in_registry_order() {
     assert_eq!(num(&experiments[0], "skipped_cycles"), 0.0);
     assert!(num(&experiments[1], "ticked_cycles") > 0.0);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `--check-protocol` traces every session run and audits the recorded
+/// DRAM command streams. `ablation-cwf` runs its twelve points through
+/// the session memo, so the audit has real streams to check (the
+/// experiments that drive `System` directly leave nothing to audit).
+#[test]
+fn check_protocol_audits_traced_runs() {
+    let out = reproduce()
+        .args(["--quick", "--only", "ablation-cwf", "--check-protocol"])
+        .output()
+        .expect("run reproduce --check-protocol");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("protocol check: "))
+        .unwrap_or_else(|| panic!("no protocol check line in:\n{stdout}"));
+    let counts: Vec<u64> = line
+        .split_whitespace()
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    let [runs, commands, violations] = counts[..] else {
+        panic!("unexpected protocol check line: {line}");
+    };
+    assert!(runs >= 1, "{line}");
+    assert!(commands > 0, "{line}");
+    assert_eq!(violations, 0, "{line}");
 }

@@ -39,11 +39,9 @@
 
 pub mod config;
 pub mod experiments;
-pub mod report;
 pub mod runner;
 pub mod scenario;
 mod system;
-pub mod trace;
 
 pub use config::{InterconnectConfig, MemorySystemConfig, MshrSystemConfig, SystemConfig};
 pub use scenario::CORE_HZ;

@@ -23,6 +23,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use stacksim_dram::DramCmd;
 use stacksim_stats::{harmonic_mean, MetricsSink};
 use stacksim_types::ConfigError;
 use stacksim_workload::Mix;
@@ -30,7 +31,6 @@ use stacksim_workload::Mix;
 use crate::config::SystemConfig;
 use crate::scenario::{Machines, ScenarioHash};
 use crate::system::System;
-use crate::trace::{Trace, TraceConfig};
 
 /// Length, seeding and tracing of one simulation run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -41,10 +41,10 @@ pub struct RunConfig {
     pub measure_cycles: u64,
     /// Seed for the workload generators.
     pub seed: u64,
-    /// Event streams to record during the measured window (off by default).
-    /// Part of the run identity, so traced and untraced runs of the same
-    /// point never share a memo entry.
-    pub trace: TraceConfig,
+    /// Record the DRAM command stream during the measured window (off by
+    /// default). Part of the run identity, so traced and untraced runs of
+    /// the same point never share a memo entry.
+    pub dram_trace: bool,
     /// Quiescence fast-forwarding (on by default): skip cycles in which
     /// the whole machine provably does nothing. Purely a simulator-speed
     /// knob — every simulated outcome is bit-identical either way — but
@@ -60,7 +60,7 @@ impl RunConfig {
             warmup_cycles: 10_000,
             measure_cycles: 60_000,
             seed: 0xC0FFEE,
-            trace: TraceConfig::off(),
+            dram_trace: false,
             fast_forward: true,
         }
     }
@@ -72,19 +72,18 @@ impl RunConfig {
         self
     }
 
-    /// This configuration with the given trace streams enabled.
+    /// This configuration with the DRAM command stream recorded.
     ///
     /// # Examples
     ///
     /// ```
     /// use stacksim::runner::RunConfig;
-    /// use stacksim::trace::TraceConfig;
     ///
-    /// let run = RunConfig::quick().with_trace(TraceConfig::all());
-    /// assert!(run.trace.any());
+    /// let run = RunConfig::quick().with_dram_trace();
+    /// assert!(run.dram_trace);
     /// ```
-    pub fn with_trace(mut self, trace: TraceConfig) -> RunConfig {
-        self.trace = trace;
+    pub fn with_dram_trace(mut self) -> RunConfig {
+        self.dram_trace = true;
         self
     }
 }
@@ -95,7 +94,7 @@ impl Default for RunConfig {
             warmup_cycles: 30_000,
             measure_cycles: 250_000,
             seed: 0xC0FFEE,
-            trace: TraceConfig::off(),
+            dram_trace: false,
             fast_forward: true,
         }
     }
@@ -121,9 +120,10 @@ pub struct RunResult {
     /// metrics tree (use [`MetricsSink::get`] with the same dotted names
     /// the old flat record used, e.g. `"l2.misses"`).
     pub stats: MetricsSink,
-    /// Event streams recorded during the run; `None` unless
-    /// [`RunConfig::trace`] enabled at least one stream.
-    pub trace: Option<Trace>,
+    /// DRAM commands issued during the measured window, one list per
+    /// memory controller in issue order; `None` unless
+    /// [`RunConfig::dram_trace`] was set.
+    pub trace: Option<Vec<Vec<DramCmd>>>,
 }
 
 /// A speedup was requested between runs of *different* mixes, which is
@@ -206,10 +206,10 @@ pub fn run_mix(cfg: &SystemConfig, mix: &Mix, run: &RunConfig) -> Result<RunResu
 fn measure(system: &mut System, cfg: &SystemConfig, mix: &Mix, run: &RunConfig) -> RunResult {
     system.set_fast_forward(run.fast_forward);
     system.run_cycles(run.warmup_cycles);
-    if run.trace.any() {
-        // Trace the measured window only; warmup events are not evaluation
-        // artifacts.
-        system.enable_tracing(run.trace);
+    if run.dram_trace {
+        // Trace the measured window only; warmup commands are not
+        // evaluation artifacts.
+        system.enable_dram_trace();
     }
     let before: Vec<u64> = (0..cfg.cores).map(|i| system.core_committed(i)).collect();
     system.run_cycles(run.measure_cycles);
@@ -236,7 +236,7 @@ fn measure(system: &mut System, cfg: &SystemConfig, mix: &Mix, run: &RunConfig) 
         .map(|&c| (c.max(1)) as f64 / run.measure_cycles as f64)
         .collect();
     let hmipc = harmonic_mean(&per_core_ipc).expect("ipc values are positive"); // simlint::allow(P002, reason = "per-core IPCs are floored to 1/window, so the harmonic mean is defined")
-    let trace = system.take_trace();
+    let trace = system.take_dram_trace();
     RunResult {
         mix: mix.name,
         per_core_ipc,
@@ -438,9 +438,9 @@ impl Session {
     /// memo miss consults the store before simulating, and every fresh
     /// simulation is written through to it.
     ///
-    /// Traced runs ([`TraceConfig::any`]) bypass the store entirely: event
-    /// streams are not persisted, so serving a stored result for a traced
-    /// request would silently drop its streams.
+    /// Traced runs ([`RunConfig::dram_trace`]) bypass the store entirely:
+    /// command streams are not persisted, so serving a stored result for a
+    /// traced request would silently drop its stream.
     pub fn with_store(mut self, store: Arc<dyn ResultStore>) -> Session {
         self.store = Some(store);
         self
@@ -518,9 +518,9 @@ impl Session {
         let source = std::cell::Cell::new(RunSource::Memo);
         let result = cell
             .get_or_init(|| {
-                // Traced runs bypass the store: event streams are not
+                // Traced runs bypass the store: command streams are not
                 // persisted, so a stored result could not honor the request.
-                let store = self.store.as_deref().filter(|_| !run.trace.any());
+                let store = self.store.as_deref().filter(|_| !run.dram_trace);
                 if let Some(store) = store {
                     if let Some(stored) = store.load(cfg, mix.name, run) {
                         self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
@@ -694,28 +694,20 @@ mod tests {
         let cfg = Machines::builtin().m3d_fast;
         let mix = Mix::by_name("H2").unwrap();
         let plain_cfg = RunConfig::quick();
-        let traced_cfg = RunConfig::quick().with_trace(crate::trace::TraceConfig::all());
+        let traced_cfg = RunConfig::quick().with_dram_trace();
         let plain = run_mix(&cfg, mix, &plain_cfg).unwrap();
         let traced = run_mix(&cfg, mix, &traced_cfg).unwrap();
-        // Tracing is observational: every measured number is bit-identical.
-        // Only the fast-forward bookkeeping may differ — trace sampling
-        // imposes extra skip barriers, changing how the run was *executed*
-        // (more ticks, fewer skips) but nothing the machine *did*.
-        let machine = |r: &RunResult| {
-            r.stats
-                .flatten()
-                .into_iter()
-                .filter(|(name, _)| name != "ticked_cycles" && name != "skipped_cycles")
-                .collect::<Vec<_>>()
-        };
+        // Tracing is observational: every measured number is bit-identical,
+        // down to the fast-forward bookkeeping (tracing adds no skip
+        // barrier).
         assert_eq!(plain.committed, traced.committed);
         assert_eq!(plain.per_core_ipc, traced.per_core_ipc);
         assert_eq!(plain.hmipc, traced.hmipc);
-        assert_eq!(machine(&plain), machine(&traced));
-        // And only the traced run carries streams.
+        assert_eq!(plain.stats.flatten(), traced.stats.flatten());
+        // And only the traced run carries commands.
         assert_eq!(plain.trace, None);
         let trace = traced.trace.as_ref().expect("trace requested");
-        assert!(!trace.is_empty());
+        assert!(trace.iter().any(|cmds| !cmds.is_empty()));
     }
 
     #[test]

@@ -7,10 +7,11 @@ use stacksim_cache::{
     AccessOutcome, BankedCache, NextLinePrefetcher, Prefetcher, StridePrefetcher,
 };
 use stacksim_cpu::{Core, CoreRequest};
+use stacksim_dram::DramCmd;
 use stacksim_memctrl::{Completion, McConfig, MemRequest, MemoryController, RequestKind};
 use stacksim_mshr::{
     CamMshr, DirectMappedMshr, DynamicTuner, HierarchicalMshr, MissHandler, MissKind, MissTarget,
-    MshrKind, OccupancySample, ProbeScheme, VbfMshr,
+    MshrKind, ProbeScheme, VbfMshr,
 };
 use stacksim_stats::{Histogram, MetricsSink};
 use stacksim_types::{
@@ -20,7 +21,6 @@ use stacksim_vm::PageAllocator;
 use stacksim_workload::{Mix, SyntheticWorkload, TraceGenerator};
 
 use crate::config::SystemConfig;
-use crate::trace::{QueueDepthSample, Trace, TraceConfig};
 
 /// Token bit marking a memory request as an L2-generated prefetch (no core
 /// and no MSHR entry waits on it; the fill populates the L2).
@@ -367,10 +367,6 @@ pub struct System {
     dropped_prefetches: u64,
     l2_prefetches_issued: u64,
     spurious_completions: u64,
-    // Event tracing. `trace` is `None` when tracing is disabled, so the hot
-    // loop pays one discriminant check per cycle and nothing else.
-    trace_cfg: TraceConfig,
-    trace: Option<Trace>,
 }
 
 impl System {
@@ -542,65 +538,27 @@ impl System {
             dropped_prefetches: 0,
             l2_prefetches_issued: 0,
             spurious_completions: 0,
-            trace_cfg: TraceConfig::off(),
-            trace: None,
         })
     }
 
-    /// Turns on event tracing for the rest of the run, recording the streams
-    /// `cfg` selects. Call before [`run_cycles`](System::run_cycles); collect
-    /// the streams afterwards with [`take_trace`](System::take_trace).
-    pub fn enable_tracing(&mut self, cfg: TraceConfig) {
-        self.trace_cfg = cfg;
-        if !cfg.any() {
-            for mc in &mut self.mcs {
-                mc.set_cmd_tracing(false);
-            }
-            self.trace = None;
-            return;
-        }
+    /// Turns on DRAM command tracing for the rest of the run. Call before
+    /// [`run_cycles`](System::run_cycles); collect the commands afterwards
+    /// with [`take_dram_trace`](System::take_dram_trace).
+    pub fn enable_dram_trace(&mut self) {
         for mc in &mut self.mcs {
-            mc.set_cmd_tracing(cfg.dram_cmds);
+            mc.set_cmd_tracing(true);
         }
-        self.trace = Some(Trace::default());
     }
 
-    /// Removes and returns the streams recorded since tracing was enabled
-    /// (`None` if tracing is off). Tracing stays enabled; the next call
-    /// returns only newer events.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        let mut trace = self.trace.take()?;
-        if self.trace_cfg.dram_cmds {
-            trace.dram_cmds = self.mcs.iter_mut().map(|mc| mc.take_cmd_trace()).collect();
-        }
-        self.trace = Some(Trace::default());
-        Some(trace)
-    }
-
-    /// Samples the periodic trace streams; called from the tick loop only
-    /// while tracing is enabled.
-    fn trace_sample(&mut self, now: Cycle) {
-        let cfg = self.trace_cfg;
-        if !cfg.samples() || !now.raw().is_multiple_of(cfg.sample_interval.max(1)) {
-            return;
-        }
-        let trace = self.trace.as_mut().expect("checked by caller"); // simlint::allow(P002, reason = "trace_sample is only called when tracing is on, so the trace sink exists")
-        if cfg.mshr_occupancy {
-            for (i, bank) in self.mshr_banks.iter().enumerate() {
-                trace
-                    .mshr_occupancy
-                    .push(OccupancySample::of(now, i, bank.as_ref()));
-            }
-        }
-        if cfg.mc_queue_depth {
-            for (i, mc) in self.mcs.iter().enumerate() {
-                trace.mc_queue_depth.push(QueueDepthSample {
-                    at: now,
-                    mc: i,
-                    depth: mc.queue_len(),
-                });
-            }
-        }
+    /// Removes and returns the DRAM commands recorded since tracing was
+    /// enabled, one list per memory controller in issue order (`None` if
+    /// tracing is off). Tracing stays enabled; the next call returns only
+    /// newer commands.
+    pub fn take_dram_trace(&mut self) -> Option<Vec<Vec<DramCmd>>> {
+        self.mcs
+            .iter_mut()
+            .map(MemoryController::take_cmd_trace)
+            .collect()
     }
 
     /// Current simulated time.
@@ -768,10 +726,9 @@ impl System {
     /// which it can do anything; `None` when some component is active this
     /// cycle. Every bound mirrors one memory stage of
     /// [`tick`](System::tick): the event wheel, MC completions, MC issue
-    /// at the controller clock, send-queue drains, trace sampling, and
-    /// dynamic MSHR tuner boundaries. The caller has already bounded
-    /// `end` by core activity, so a returned target skips whole-machine
-    /// dead time.
+    /// at the controller clock, send-queue drains, and dynamic MSHR tuner
+    /// boundaries. The caller has already bounded `end` by core activity,
+    /// so a returned target skips whole-machine dead time.
     ///
     /// Parked MSHR-full waiters need no bound of their own: they wake only
     /// on an MC completion or a tuner limit change, both bounded here.
@@ -804,13 +761,6 @@ impl System {
                 }
                 target = target.min(Cycle::new(edge));
             }
-        }
-        if self.trace.is_some() && self.trace_cfg.samples() {
-            let interval = self.trace_cfg.sample_interval.max(1);
-            if now.raw().is_multiple_of(interval) {
-                return None;
-            }
-            target = target.min(Cycle::new((now.raw() / interval + 1) * interval));
         }
         if let Some(tuner) = &self.tuner {
             let boundary = tuner.next_boundary();
@@ -886,12 +836,11 @@ impl System {
         self.events.advance();
     }
 
-    /// Stages 2–7 of [`tick`](System::tick): everything except the cores —
-    /// event drain, controller issue/completion, send-queue transfer,
-    /// trace sampling, MSHR tuning, and the return of woken MSHR-full
-    /// waiters to the event wheel. Shared by the full tick and the
-    /// MC-only slice, which replays the core stage's stall counters
-    /// instead of running it.
+    /// Stages 2–6 of [`tick`](System::tick): everything except the cores —
+    /// event drain, controller issue/completion, send-queue transfer, MSHR
+    /// tuning, and the return of woken MSHR-full waiters to the event
+    /// wheel. Shared by the full tick and the MC-only slice, which replays
+    /// the core stage's stall counters instead of running it.
     fn tick_memory(&mut self, now: Cycle) {
         // 2. Handle everything due this cycle. Handlers may schedule more
         // same-cycle events (e.g. a zero-delay MC send), which land back in
@@ -921,7 +870,7 @@ impl System {
             self.events.recycle(batch);
         }
         // Where this cycle's MSHR-full failures would sit in the next
-        // slot under per-cycle rescheduling (see stage 7).
+        // slot under per-cycle rescheduling (see stage 6).
         let retry_at = self.events.next_len();
 
         // 3. Memory controllers issue (at their own clock) and complete.
@@ -955,12 +904,7 @@ impl System {
             }
         }
 
-        // 5. Periodic trace sampling (one discriminant check when off).
-        if self.trace.is_some() {
-            self.trace_sample(now);
-        }
-
-        // 6. Dynamic MSHR capacity tuning (§5.1).
+        // 5. Dynamic MSHR capacity tuning (§5.1).
         if let Some(tuner) = &mut self.tuner {
             let committed: u64 = self.cores.iter().map(Core::committed).sum();
             if let Some(limit) = tuner.tick(now, committed) {
@@ -971,7 +915,7 @@ impl System {
             }
         }
 
-        // 7. Waiters a wake source released this cycle failed on every
+        // 6. Waiters a wake source released this cycle failed on every
         // cycle through this one: charge those attempts and put them back
         // on the wheel, in the next slot, where their retries would be.
         if !self.woken.is_empty() {
@@ -1536,24 +1480,17 @@ mod tests {
         let mix = Mix::by_name("VH1").unwrap();
         let mut plain = System::for_mix(&cfg, mix, 1).unwrap();
         let mut traced = System::for_mix(&cfg, mix, 1).unwrap();
-        let mut tc = TraceConfig::all();
-        tc.sample_interval = 256;
-        traced.enable_tracing(tc);
+        traced.enable_dram_trace();
         plain.run_cycles(20_000);
         traced.run_cycles(20_000);
         // Tracing must be purely observational.
         assert_eq!(plain.total_committed(), traced.total_committed());
-        let trace = traced.take_trace().unwrap();
-        assert!(
-            !trace.dram_cmds.iter().all(Vec::is_empty),
-            "commands traced"
-        );
-        assert!(!trace.mshr_occupancy.is_empty(), "occupancy sampled");
-        assert!(!trace.mc_queue_depth.is_empty(), "queue depth sampled");
+        let trace = traced.take_dram_trace().unwrap();
+        assert!(!trace.iter().all(Vec::is_empty), "commands traced");
         // Command stream is time-ordered per (rank, bank): commands carry
         // their real issue times, so streams of different banks interleave
         // but each bank's own sequence is monotonic.
-        for cmds in &trace.dram_cmds {
+        for cmds in &trace {
             let mut last = std::collections::HashMap::new();
             for c in cmds {
                 let prev = last.insert((c.rank, c.bank), c.at);
@@ -1564,10 +1501,10 @@ mod tests {
             }
         }
         // The untraced system yields no trace.
-        assert_eq!(plain.take_trace(), None);
-        // A second take returns only newer events.
-        let again = traced.take_trace().unwrap();
-        assert!(again.is_empty());
+        assert_eq!(plain.take_dram_trace(), None);
+        // A second take returns only newer commands.
+        let again = traced.take_dram_trace().unwrap();
+        assert!(again.iter().all(Vec::is_empty));
     }
 
     #[test]

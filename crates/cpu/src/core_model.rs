@@ -150,8 +150,6 @@ pub struct Core {
     /// [`fill`](Core::fill).
     activity_bound: Cell<Option<Option<Cycle>>>,
     committed: u64,
-    instr_limit: Option<u64>,
-    finish_cycle: Option<Cycle>,
     // Statistics.
     mshr_stall_cycles: u64,
     window_stall_cycles: u64,
@@ -192,8 +190,6 @@ impl Core {
             fetch_stall_until: Cycle::ZERO,
             activity_bound: Cell::new(None),
             committed: 0,
-            instr_limit: None,
-            finish_cycle: None,
             mshr_stall_cycles: 0,
             window_stall_cycles: 0,
             branch_stall_cycles: 0,
@@ -235,26 +231,6 @@ impl Core {
         self.committed
     }
 
-    /// Freezes statistics once `limit` µops have committed: the cycle this
-    /// happens is recorded as [`finish_cycle`](Core::finish_cycle), while
-    /// the core keeps executing and competing for shared resources (the
-    /// paper's multi-programmed methodology, §2.4).
-    pub fn set_instr_limit(&mut self, limit: u64) {
-        self.instr_limit = Some(limit);
-    }
-
-    /// The cycle at which the instruction limit was reached, if yet.
-    pub const fn finish_cycle(&self) -> Option<Cycle> {
-        self.finish_cycle
-    }
-
-    /// IPC over the frozen window, if the limit has been reached.
-    pub fn frozen_ipc(&self) -> Option<f64> {
-        let limit = self.instr_limit?;
-        let finish = self.finish_cycle?;
-        (finish.raw() > 0).then(|| limit as f64 / finish.raw() as f64)
-    }
-
     /// Simulates one cycle: commits from the window head, then issues new
     /// µops. Demand misses and prefetches are appended to `requests` for
     /// the owner to route to the L2.
@@ -276,10 +252,6 @@ impl Core {
             }
             self.window.pop_front();
             self.committed += 1;
-            if self.finish_cycle.is_none() && self.instr_limit.is_some_and(|l| self.committed >= l)
-            {
-                self.finish_cycle = Some(now);
-            }
         }
     }
 
@@ -287,8 +259,8 @@ impl Core {
     /// `n` fetch-stalled cycles starting at `from`. With issue silenced the
     /// window evolves only through [`commit`](Core::commit), a pure function
     /// of the window itself, so walking the poppable cycles reproduces the
-    /// committed count and `finish_cycle` bit-identically. Cycles whose head
-    /// is not yet ready are stepped over in one bound.
+    /// committed count bit-identically. Cycles whose head is not yet ready
+    /// are stepped over in one bound.
     fn replay_commits(&mut self, from: Cycle, n: u64) {
         let mut c = 0;
         let mut popped = false;
@@ -832,27 +804,6 @@ mod tests {
             }
         }
         panic!("dirty line was never evicted");
-    }
-
-    #[test]
-    fn frozen_ipc_records_finish_cycle() {
-        let mut core = bare_core(vec![Instr::Compute]);
-        core.set_instr_limit(40);
-        let mut reqs = Vec::new();
-        let mut now = Cycle::ZERO;
-        while core.finish_cycle().is_none() {
-            now += Cycles::new(1);
-            core.cycle(now, &mut reqs);
-        }
-        let ipc = core.frozen_ipc().unwrap();
-        assert!(
-            ipc > 2.0 && ipc <= 4.0,
-            "compute-bound IPC near width: {ipc}"
-        );
-        // The core keeps running past the freeze point.
-        let before = core.committed();
-        core.cycle(now + Cycles::new(1), &mut reqs);
-        assert!(core.committed() > before);
     }
 
     #[test]

@@ -365,13 +365,10 @@ impl MemoryController {
         self.cmd_trace.as_deref()
     }
 
-    /// Removes and returns the buffered command trace (empty if tracing is
-    /// disabled). Tracing stays enabled if it was.
-    pub fn take_cmd_trace(&mut self) -> Vec<DramCmd> {
-        match self.cmd_trace.as_mut() {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
-        }
+    /// Removes and returns the buffered command trace (`None` if tracing
+    /// is disabled). Tracing stays enabled if it was.
+    pub fn take_cmd_trace(&mut self) -> Option<Vec<DramCmd>> {
+        self.cmd_trace.as_mut().map(std::mem::take)
     }
 
     /// Appends the row-level command sequence for one issued request.
@@ -682,7 +679,7 @@ mod tests {
         assert_eq!(cmds[1].at, cmds[0].at + t.t_rp);
         assert_eq!(cmds[2].at, cmds[1].at + t.t_rcd);
         assert!(cmds[3].at >= cmds[2].at + t.t_ccd, "bursts spaced by tCCD");
-        let taken = mc.take_cmd_trace();
+        let taken = mc.take_cmd_trace().unwrap();
         assert_eq!(taken.len(), 4);
         assert!(
             mc.cmd_trace().unwrap().is_empty(),
@@ -702,7 +699,7 @@ mod tests {
         // the access's own commands.
         mc.enqueue(read_req(&mapper, 0, 3500)).unwrap();
         run_until_complete(&mut mc, Cycle::new(3500));
-        let cmds = mc.take_cmd_trace();
+        let cmds = mc.take_cmd_trace().unwrap();
         let refs: Vec<_> = cmds
             .iter()
             .filter(|c| c.kind == DramCmdKind::Refresh)
@@ -722,7 +719,7 @@ mod tests {
         mc.enqueue(read_req(&mapper, 0, 0)).unwrap();
         run_until_complete(&mut mc, Cycle::ZERO);
         assert_eq!(mc.cmd_trace(), None);
-        assert!(mc.take_cmd_trace().is_empty());
+        assert_eq!(mc.take_cmd_trace(), None);
     }
 
     /// Reference drain: scan every in-flight request, then stable-sort the

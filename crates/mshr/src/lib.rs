@@ -45,7 +45,6 @@ mod dynamic;
 mod entry;
 mod handler;
 mod hierarchical;
-mod sample;
 mod vbf;
 
 pub use cam::CamMshr;
@@ -54,5 +53,4 @@ pub use dynamic::{DynamicTuner, TunerConfig, TunerPhase};
 pub use entry::{MissKind, MissTarget, MshrEntry, INLINE_TARGETS};
 pub use handler::{AllocError, AllocOutcome, LookupResult, MissHandler, MshrKind};
 pub use hierarchical::HierarchicalMshr;
-pub use sample::OccupancySample;
 pub use vbf::{VbfMshr, VectorBloomFilter};

@@ -9,7 +9,7 @@
 //!    organization and per-bank entry count;
 //! 2. a fast-forward run and a tick-by-tick run of the same point, which
 //!    must agree bit-for-bit on every committed count, IPC, metric and
-//!    trace event (the quiescence skip's contract);
+//!    traced DRAM command (the quiescence skip's contract);
 //! 3. the DRAM protocol checker ([`crate::protocol`]) over the traced
 //!    command streams.
 //!
@@ -26,7 +26,6 @@ use rand::{Rng, SeedableRng};
 use stacksim::config::SystemConfig;
 use stacksim::runner::{run_mix, RunConfig, RunResult};
 use stacksim::scenario::{Machines, Scenario, SHIPPED};
-use stacksim::trace::TraceConfig;
 use stacksim_dram::PagePolicy;
 use stacksim_mshr::MshrKind;
 use stacksim_stats::Json;
@@ -284,10 +283,7 @@ pub fn run_case(case: &FuzzCase) -> Result<Vec<usize>, FuzzFailure> {
 
     let mix = Mix::by_name(case.mix)
         .ok_or_else(|| FuzzFailure::Config(format!("unknown mix {}", case.mix)))?;
-    let traced = case.run.with_trace(TraceConfig {
-        dram_cmds: true,
-        ..TraceConfig::off()
-    });
+    let traced = case.run.with_dram_trace();
 
     // 2. Fast-forward versus tick-by-tick bit identity.
     let fast = run_mix(&case.cfg, mix, &traced).map_err(|e| FuzzFailure::Config(e.to_string()))?;

@@ -12,10 +12,11 @@
 //!   Outcomes (hit/miss/merge/full) and occupancy must agree at every step;
 //!   probe counts are organization-specific by design and are not compared.
 //! * [`protocol`] — a **DRAM protocol checker** that consumes the per-MC
-//!   command streams recorded by [`stacksim::trace`] and validates
-//!   JEDEC-style ordering and spacing invariants (tRP, tRCD, tRAS, tCCD,
-//!   write recovery, refresh cadence, row-open discipline) against the
-//!   configuration's timing parameters.
+//!   command streams a traced run records
+//!   ([`RunConfig::dram_trace`](stacksim::runner::RunConfig::dram_trace))
+//!   and validates JEDEC-style ordering and spacing invariants (tRP,
+//!   tRCD, tRAS, tCCD, write recovery, refresh cadence, row-open
+//!   discipline) against the configuration's timing parameters.
 //! * [`fuzz`] — a **seeded config-space fuzzer** that samples
 //!   configuration × mix × window points, runs short simulations under
 //!   both oracles plus a fast-forward-versus-tick-by-tick bit-identity

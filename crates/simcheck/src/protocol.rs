@@ -1,8 +1,9 @@
 //! DRAM command-protocol checker.
 //!
-//! Consumes the per-controller command streams recorded by
-//! [`stacksim::trace`] and validates, per (rank, bank), the JEDEC-style
-//! ordering and spacing invariants the device model is supposed to honour:
+//! Consumes the per-controller command streams a run records with
+//! [`RunConfig::dram_trace`](stacksim::runner::RunConfig::dram_trace) set
+//! and validates, per (rank, bank), the JEDEC-style ordering and spacing
+//! invariants the device model is supposed to honour:
 //!
 //! * non-decreasing command times, and no command to a busy bank
 //!   (column burst time, write recovery, refresh occupancy);
@@ -26,7 +27,6 @@ use std::fmt;
 
 use stacksim::config::SystemConfig;
 use stacksim::runner::RunResult;
-use stacksim::trace::Trace;
 use stacksim_dram::{DramCmd, DramCmdKind, PagePolicy};
 use stacksim_types::{ConfigError, Cycle, Cycles, DramTimingCycles};
 
@@ -361,10 +361,10 @@ pub fn check_stream(params: &ProtocolParams, mc: usize, cmds: &[DramCmd]) -> Vec
     violations
 }
 
-/// Checks every controller stream in `trace`.
-pub fn check_trace(params: &ProtocolParams, trace: &Trace) -> Vec<Violation> {
+/// Checks every controller stream in `trace`, one command list per
+/// memory controller.
+pub fn check_trace(params: &ProtocolParams, trace: &[Vec<DramCmd>]) -> Vec<Violation> {
     trace
-        .dram_cmds
         .iter()
         .enumerate()
         .flat_map(|(mc, cmds)| check_stream(params, mc, cmds))
@@ -381,7 +381,7 @@ pub fn check_trace(params: &ProtocolParams, trace: &Trace) -> Vec<Violation> {
 pub fn check_run(cfg: &SystemConfig, result: &RunResult) -> Result<Vec<Violation>, ConfigError> {
     let params = ProtocolParams::for_config(cfg)?;
     let trace = result.trace.as_ref().ok_or_else(|| {
-        ConfigError::new("protocol check needs a run traced with dram_cmds enabled")
+        ConfigError::new("protocol check needs a run traced with dram_trace enabled")
     })?;
     Ok(check_trace(&params, trace))
 }

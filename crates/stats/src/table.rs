@@ -15,8 +15,7 @@ pub enum Align {
 /// A simple fixed-width text table.
 ///
 /// Every experiment driver renders its figure/table through this type so
-/// that `cargo run --example figure4` and the bench harness produce the same
-/// rows the paper reports.
+/// that `reproduce` prints the same rows the paper reports.
 ///
 /// # Examples
 ///

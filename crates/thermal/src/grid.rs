@@ -4,11 +4,6 @@ use core::fmt;
 
 use crate::stack::{StackConfig, DRAM_THERMAL_LIMIT_C};
 
-/// Per-cell heat capacity used by the transient solver, J/K. Representative
-/// of a thinned-die cell; only the time constant depends on it, not the
-/// steady state.
-const CELL_HEAT_CAPACITY: f64 = 0.02;
-
 /// Result of a thermal solve.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ThermalReport {
@@ -111,7 +106,7 @@ impl ThermalGrid {
     }
 
     /// Neighbour conductance bookkeeping for one cell: returns
-    /// `(sum_of_g, sum_of_g_times_t, power_in)`.
+    /// `(sum_of_g, sum_of_g_times_t)`.
     fn cell_balance(&self, layer: usize, x: usize, y: usize) -> (f64, f64) {
         let cfg = &self.config;
         let n = cfg.grid;
@@ -155,8 +150,8 @@ impl ThermalGrid {
     }
 
     /// Solves for the steady state by Gauss–Seidel iteration and returns
-    /// the report. Temperatures are left at the solution, so transient
-    /// stepping can continue from it.
+    /// the report. Temperatures are left at the solution, so
+    /// [`cell_temp`](ThermalGrid::cell_temp) reads it per cell.
     pub fn solve_steady_state(&mut self) -> ThermalReport {
         let n = self.config.grid;
         let layers = self.config.layers.len();
@@ -178,29 +173,6 @@ impl ThermalGrid {
             }
         }
         self.report()
-    }
-
-    /// Advances the transient solution by `dt_s` seconds (explicit Euler).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt_s` is not positive.
-    pub fn step_transient(&mut self, dt_s: f64) {
-        assert!(dt_s > 0.0, "time step must be positive");
-        let n = self.config.grid;
-        let layers = self.config.layers.len();
-        let mut next = self.temps.clone();
-        for l in 0..layers {
-            for y in 0..n {
-                for x in 0..n {
-                    let i = self.idx(l, x, y);
-                    let (g, gt) = self.cell_balance(l, x, y);
-                    let net_w = self.powers[i] + gt - g * self.temps[i];
-                    next[i] = self.temps[i] + dt_s * net_w / CELL_HEAT_CAPACITY;
-                }
-            }
-        }
-        self.temps = next;
     }
 
     /// Builds a report from the current temperatures.
@@ -284,22 +256,6 @@ mod tests {
         // The hotspot cell itself is the hottest spot on its layer.
         let t_hot = spotted.cell_temp(0, 2, 2);
         assert!((t_hot - rs.layer_max_c[0]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transient_approaches_steady_state() {
-        let cfg = StackConfig::dram_on_cpu(50.0, 4, 0.5);
-        let mut steady = ThermalGrid::new(cfg.clone());
-        let target = steady.solve_steady_state().max_c;
-        let mut transient = ThermalGrid::new(cfg);
-        for _ in 0..200_000 {
-            transient.step_transient(1e-4);
-        }
-        let got = transient.report().max_c;
-        assert!(
-            (got - target).abs() < 0.5,
-            "transient {got} vs steady {target}"
-        );
     }
 
     #[test]

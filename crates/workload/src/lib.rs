@@ -40,7 +40,6 @@ mod mix;
 mod pattern;
 mod spec;
 mod synth;
-mod trace;
 
 pub use block::{InstrBlock, BLOCK_LEN};
 pub use idle::IdleProgram;
@@ -49,4 +48,3 @@ pub use mix::{Mix, MixClass};
 pub use pattern::{AccessPattern, FreshStream};
 pub use spec::{Benchmark, Suite};
 pub use synth::{SyntheticWorkload, TraceGenerator};
-pub use trace::{parse_trace, record_trace, TraceReplay};

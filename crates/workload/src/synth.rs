@@ -29,8 +29,8 @@ const LOOP_BRANCHES: usize = 4;
 /// A deterministic, infinite source of committed µops.
 ///
 /// The CPU model pulls instructions one at a time; generators must be
-/// infinitely repeatable (programs in the paper keep running and competing
-/// for shared resources even after their statistics freeze, §2.4).
+/// infinitely repeatable (every program keeps running and competing for
+/// shared resources for the whole simulated window).
 pub trait TraceGenerator {
     /// Produces the next µop.
     fn next_instr(&mut self) -> Instr;

@@ -4,14 +4,12 @@
 //! [`TraceGenerator::next_instr`] calls would, instruction for instruction.
 //!
 //! The batched path shares the single-instruction generation body (one
-//! `gen_one` for `SyntheticWorkload`, the same cursor arithmetic for
-//! `TraceReplay`), so divergence here means the refill override drifted
+//! `gen_one` for `SyntheticWorkload`), so divergence here means the refill override drifted
 //! from the per-instruction path — precisely the bug class this suite
 //! pins down across every benchmark spec, seed and block size.
 
 use stacksim_workload::{
-    Benchmark, IdleProgram, Instr, InstrBlock, SyntheticWorkload, TraceGenerator, TraceReplay,
-    BLOCK_LEN,
+    Benchmark, IdleProgram, Instr, InstrBlock, SyntheticWorkload, TraceGenerator, BLOCK_LEN,
 };
 
 /// Drains `n` instructions through the block path.
@@ -88,34 +86,6 @@ fn non_default_block_sizes_match() {
         let got = take_batched(&mut batched, &mut block, 2000);
         assert_eq!(want, got, "diverged at block capacity {capacity}");
     }
-}
-
-/// `TraceReplay`'s slice-copying refill must wrap around the trace exactly
-/// like repeated `next_instr` calls, including the lap counter.
-#[test]
-fn trace_replay_block_path_matches_serial_path() {
-    let spec = Benchmark::by_name("soplex").unwrap();
-    let mut source = SyntheticWorkload::new(spec, 5, 0);
-    // A trace shorter than one block forces mid-block wrap-around.
-    let instrs: Vec<Instr> = (0..BLOCK_LEN - 37).map(|_| source.next_instr()).collect();
-
-    let mut serial = TraceReplay::new("t", instrs.clone());
-    let mut batched = TraceReplay::new("t", instrs);
-    let mut block = InstrBlock::default();
-    let n = 5 * BLOCK_LEN + 13;
-    let want = take_serial(&mut serial, n);
-    let got = take_batched(&mut batched, &mut block, n);
-    assert_eq!(want, got, "trace replay diverged");
-    // `laps` counts *generated* instructions, and the batched generator has
-    // run ahead to the end of its current block. Bring both generators to
-    // the same generated count (the next block boundary) and the counters
-    // must agree.
-    let ahead = block.remaining();
-    assert_eq!(
-        take_serial(&mut serial, ahead),
-        take_batched(&mut batched, &mut block, ahead)
-    );
-    assert_eq!(serial.laps(), batched.laps(), "lap counters diverged");
 }
 
 /// The idle program's refill is a trivial fill of `Compute`; check it

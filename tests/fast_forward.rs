@@ -1,7 +1,7 @@
 //! Quiescence fast-forward must be invisible: a run with cycle skipping
 //! enabled has to produce byte-for-byte the same simulated outcome — every
-//! committed count, every IPC, every metric, every trace event — as the
-//! same run ticked cycle by cycle.
+//! committed count, every IPC, every metric, every traced DRAM command —
+//! as the same run ticked cycle by cycle.
 //!
 //! The only permitted difference is the simulator's own skip accounting
 //! (`ticked_cycles` / `skipped_cycles`), which describes how the run was
@@ -10,7 +10,6 @@
 use stacksim::config::SystemConfig;
 use stacksim::runner::{run_mix, RunConfig};
 use stacksim::scenario::Machines;
-use stacksim::trace::TraceConfig;
 use stacksim::System;
 use stacksim_mshr::{MshrKind, TunerConfig};
 use stacksim_stats::MetricsSink;
@@ -37,7 +36,7 @@ fn assert_bit_identical(label: &str, cfg: &SystemConfig, mix_name: &str, run: Ru
         fast.zero_commit_cores, slow.zero_commit_cores,
         "{label}: zero-commit cores"
     );
-    assert_eq!(fast.trace, slow.trace, "{label}: trace streams");
+    assert_eq!(fast.trace, slow.trace, "{label}: DRAM command streams");
     let fast_metrics = machine_metrics(&fast.stats);
     let slow_metrics = machine_metrics(&slow.stats);
     assert_eq!(
@@ -155,11 +154,9 @@ fn mshr_waiters_settle_between_short_run_cycles_calls() {
 
 #[test]
 fn fast_forward_matches_tick_by_tick_while_tracing() {
-    // Sampled trace streams impose periodic barriers; the streams
-    // themselves (timestamps included) must come out identical.
-    let mut trace = TraceConfig::all();
-    trace.sample_interval = 512;
-    let run = RunConfig::quick().with_trace(trace);
+    // The recorded DRAM command streams (timestamps included) must come
+    // out identical.
+    let run = RunConfig::quick().with_dram_trace();
     assert_bit_identical("traced/H1", &Machines::builtin().m3d_fast, "H1", run);
 }
 

@@ -5,7 +5,6 @@
 use stacksim::config::SystemConfig;
 use stacksim::runner::{run_mix, RunConfig, RunResult};
 use stacksim::scenario::Machines;
-use stacksim::trace::TraceConfig;
 use stacksim_dram::{DramCmdKind, PagePolicy};
 use stacksim_simcheck::protocol::{check_run, check_stream, ProtocolParams, ProtocolRule};
 use stacksim_types::Cycle;
@@ -13,17 +12,14 @@ use stacksim_workload::Mix;
 
 fn traced_run(cfg: &SystemConfig, mix_name: &str) -> RunResult {
     let mix = Mix::by_name(mix_name).expect("known mix");
-    let run = RunConfig::quick().with_trace(TraceConfig {
-        dram_cmds: true,
-        ..TraceConfig::off()
-    });
+    let run = RunConfig::quick().with_dram_trace();
     run_mix(cfg, mix, &run).expect("traced run")
 }
 
 fn assert_clean(label: &str, cfg: &SystemConfig, mix: &str) {
     let result = traced_run(cfg, mix);
     let trace = result.trace.as_ref().expect("trace recorded");
-    let cmds: usize = trace.dram_cmds.iter().map(Vec::len).sum();
+    let cmds: usize = trace.iter().map(Vec::len).sum();
     assert!(cmds > 100, "{label}: only {cmds} commands traced");
     let violations = check_run(cfg, &result).expect("valid config");
     assert!(
@@ -63,7 +59,7 @@ fn injected_trp_off_by_one_is_caught() {
     let cfg = Machines::builtin().m2d;
     let result = traced_run(&cfg, "VH1");
     let params = ProtocolParams::for_config(&cfg).expect("valid config");
-    let mut streams = result.trace.expect("trace recorded").dram_cmds;
+    let mut streams = result.trace.expect("trace recorded");
 
     // Find an ACT directly following its PRE on the same bank and pull it
     // one cycle into the precharge window — the classic off-by-one.
@@ -105,7 +101,6 @@ fn wrong_refresh_cadence_is_caught() {
 
     let trace = result.trace.as_ref().expect("trace recorded");
     let refs: usize = trace
-        .dram_cmds
         .iter()
         .flatten()
         .filter(|c| c.kind == DramCmdKind::Refresh)
