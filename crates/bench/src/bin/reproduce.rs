@@ -10,8 +10,8 @@
 //!
 //! * `--only <experiment>` — run just the named experiment (repeatable;
 //!   `--list` prints the names).
-//! * `--jobs <n>` — worker threads for the parallel run engine (default:
-//!   `RAYON_NUM_THREADS` or all available cores).
+//! * `--jobs <n>` — worker threads for the parallel run engine (default,
+//!   and `0`: all available cores).
 //! * `--out <dir>` — save one JSON metric tree per experiment plus a
 //!   `manifest.json` into `<dir>` (schema in `docs/METRICS.md`).
 //! * `--baseline <dir>` — diff this run's metrics against a directory
@@ -43,6 +43,8 @@
 //!   experiments finish (see `docs/TESTING.md`); any violation makes the
 //!   process exit non-zero. Tracing changes no simulated behaviour, but
 //!   traced windows are not memo-compatible with untraced baselines.
+//!   Experiments that simulate outside the run memo (they drive `System`
+//!   directly) are not traced; a second line names them.
 //! * `--list` — list experiment names and exit.
 //!
 //! Every simulation point is a pure function of its configuration, so the
@@ -58,10 +60,11 @@ use stacksim::experiments::{
     ablation_cwf, ablation_energy, ablation_interleave, ablation_page_policy, ablation_probing,
     ablation_scheduler, ablation_smart_refresh, energy_table, figure4, figure6a, figure6b, figure7,
     figure9, headline, probing_table, table2a, table2a_table, table2b, table2b_table,
-    thermal_check, Figure7Result, Figure9Result,
+    thermal_check, Sweep,
 };
 use stacksim::runner::{RunConfig, RunPoint, Session};
 use stacksim::scenario::{Machines, Scenario};
+use stacksim::SystemConfig;
 use stacksim_bench::full_run;
 use stacksim_bench::obs;
 use stacksim_simcheck::protocol::{check_trace, ProtocolParams};
@@ -80,52 +83,38 @@ struct Ctx {
 type ExpResult = Result<(String, MetricsSink), Box<dyn std::error::Error>>;
 type ExpFn = fn(&Ctx) -> ExpResult;
 
-/// Metric tree of a Figure 7-style variant sweep (shared with Figure 9,
-/// whose result has the same row shape).
-fn sweep_sink(
-    name: &'static str,
-    rows: &[(&'static Mix, &[f64])],
-    labels: &[String],
-    gm_hvh: Option<&[f64]>,
-    gm_all: &[f64],
-) -> MetricsSink {
+/// Metric tree of a Figure 7 or Figure 9 variant sweep.
+fn sweep_sink(name: &'static str, r: &Sweep) -> MetricsSink {
     let mut sink = MetricsSink::new(name);
-    for (mix, pcts) in rows {
-        for (label, pct) in labels.iter().zip(*pcts) {
+    for (mix, pcts) in &r.rows {
+        for (label, pct) in r.labels.iter().zip(pcts) {
             sink.gauge(format!("{}.{label}_pct", mix.name), *pct);
         }
     }
-    if let Some(gm) = gm_hvh {
-        for (label, pct) in labels.iter().zip(gm) {
+    if let Some(gm) = &r.gm_hvh_pct {
+        for (label, pct) in r.labels.iter().zip(gm) {
             sink.gauge(format!("gm_hvh.{label}_pct"), *pct);
         }
     }
-    for (label, pct) in labels.iter().zip(gm_all) {
+    for (label, pct) in r.labels.iter().zip(&r.gm_all_pct) {
         sink.gauge(format!("gm_all.{label}_pct"), *pct);
     }
     sink
 }
 
-fn figure7_sink(name: &'static str, r: &Figure7Result) -> MetricsSink {
-    let labels: Vec<String> = r.variants.iter().map(|v| v.label()).collect();
-    let rows: Vec<(&'static Mix, &[f64])> = r
-        .rows
-        .iter()
-        .map(|row| (row.mix, row.improvement_pct.as_slice()))
-        .collect();
-    sweep_sink(name, &rows, &labels, r.gm_hvh_pct.as_deref(), &r.gm_all_pct)
+/// One Figure 7 panel: the MSHR scaling sweep on `base`.
+fn figure7_panel(ctx: &Ctx, name: &'static str, base: &SystemConfig) -> ExpResult {
+    let r = figure7(&ctx.session, base, &ctx.run, &ctx.mixes)?;
+    Ok((r.table().to_string(), sweep_sink(name, &r)))
 }
 
-fn figure9_sink(name: &'static str, r: &Figure9Result) -> MetricsSink {
-    let labels: Vec<String> = r.variants.iter().map(|v| v.label().to_string()).collect();
-    let rows: Vec<(&'static Mix, &[f64])> = r
-        .rows
-        .iter()
-        .map(|row| (row.mix, row.improvement_pct.as_slice()))
-        .collect();
-    let mut sink = sweep_sink(name, &rows, &labels, r.gm_hvh_pct.as_deref(), &r.gm_all_pct);
+/// One Figure 9 panel: the scalable-MHA sweep on `base`, plus the VBF's
+/// probes per access.
+fn figure9_panel(ctx: &Ctx, name: &'static str, base: &SystemConfig) -> ExpResult {
+    let r = figure9(&ctx.session, base, &ctx.run, &ctx.mixes)?;
+    let mut sink = sweep_sink(name, &r.sweep);
     sink.gauge("vbf_probes_per_access", r.vbf_probes_per_access);
-    sink
+    Ok((r.sweep.table().to_string(), sink))
 }
 
 /// Metric tree for a single-number ablation.
@@ -202,24 +191,16 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
         Ok((r.table().to_string(), sink))
     }),
     ("figure7-dual", |ctx| {
-        let base = &ctx.session.machines().dual_mc;
-        let r = figure7(&ctx.session, base, &ctx.run, &ctx.mixes)?;
-        Ok((r.table().to_string(), figure7_sink("figure7-dual", &r)))
+        figure7_panel(ctx, "figure7-dual", &ctx.session.machines().dual_mc)
     }),
     ("figure7-quad", |ctx| {
-        let base = &ctx.session.machines().quad_mc;
-        let r = figure7(&ctx.session, base, &ctx.run, &ctx.mixes)?;
-        Ok((r.table().to_string(), figure7_sink("figure7-quad", &r)))
+        figure7_panel(ctx, "figure7-quad", &ctx.session.machines().quad_mc)
     }),
     ("figure9-dual", |ctx| {
-        let base = &ctx.session.machines().dual_mc;
-        let r = figure9(&ctx.session, base, &ctx.run, &ctx.mixes)?;
-        Ok((r.table().to_string(), figure9_sink("figure9-dual", &r)))
+        figure9_panel(ctx, "figure9-dual", &ctx.session.machines().dual_mc)
     }),
     ("figure9-quad", |ctx| {
-        let base = &ctx.session.machines().quad_mc;
-        let r = figure9(&ctx.session, base, &ctx.run, &ctx.mixes)?;
-        Ok((r.table().to_string(), figure9_sink("figure9-quad", &r)))
+        figure9_panel(ctx, "figure9-quad", &ctx.session.machines().quad_mc)
     }),
     ("headline", |ctx| {
         let r = headline(&ctx.session, &ctx.run, &ctx.hv)?;
@@ -381,16 +362,6 @@ fn timings_json(timings: &[Timing], total_wall: f64, quick: bool, jobs: usize) -
     s
 }
 
-/// The worker count asked for: a non-zero `--jobs`, else a positive
-/// `RAYON_NUM_THREADS`; `None` leaves the session's default (every
-/// available CPU).
-fn requested_jobs(flag: Option<usize>) -> Option<usize> {
-    flag.filter(|&n| n > 0).or_else(|| {
-        let env = std::env::var("RAYON_NUM_THREADS").ok()?;
-        env.trim().parse().ok().filter(|&n: &usize| n > 0)
-    })
-}
-
 /// Command-line options.
 struct Options {
     only: Vec<String>,
@@ -529,7 +500,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let _ = std::io::stderr().flush();
     }));
-    if let Some(jobs) = requested_jobs(opts.jobs) {
+    if let Some(jobs) = opts.jobs.filter(|&n| n > 0) {
         session = session.with_jobs(jobs);
     }
     if let Some(store) = store {
@@ -564,6 +535,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut results: Vec<(String, MetricsSink)> = Vec::new();
     let mut timings: Vec<Timing> = Vec::new();
+    // Experiments that simulated cycles without adding a memo entry: they
+    // drive `System` directly, so `--check-protocol` cannot audit them.
+    let mut unaudited: Vec<&'static str> = Vec::new();
 
     // --scenario: one machine, every mix — replaces the experiment registry.
     if let Some(path) = &opts.scenario {
@@ -602,12 +576,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         let (skipped_before, ticked_before) = ctx.session.skip_totals();
+        let memo_before = ctx.session.memo_len();
         let t = Instant::now();
         let (output, sink) = exp(&ctx)?;
         let wall = t.elapsed();
         println!("{output}");
         println!("[{name}: {wall:.1?}]\n");
         let (skipped_after, ticked_after) = ctx.session.skip_totals();
+        if skipped_after + ticked_after > skipped_before + ticked_before
+            && ctx.session.memo_len() == memo_before
+        {
+            unaudited.push(name);
+        }
         timings.push(Timing {
             name,
             wall_seconds: wall.as_secs_f64(),
@@ -651,6 +631,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "protocol check: {runs} traced run(s), {commands} DRAM command(s), \
              {protocol_violations} violation(s)"
         );
+        if !unaudited.is_empty() {
+            println!(
+                "protocol check: not traced (simulated outside the run memo): {}",
+                unaudited.join(", ")
+            );
+        }
     }
 
     if let Some(dir) = &opts.out {

@@ -2,9 +2,10 @@
 //! `--out`/`--baseline` workflow, the `--timings` artifact and the
 //! `--check-protocol` audit, driven through the real executable.
 //!
-//! The diff tests use the `thermal` experiment (no simulations) so each
-//! invocation is near-instant; the diff machinery is identical for every
-//! experiment.
+//! The diff-machinery tests use the `thermal` experiment (no simulations)
+//! so each invocation is near-instant; the diff machinery is identical for
+//! every experiment. One test diffs seven simulating experiments against
+//! the committed quick tree (`stackbench/expected/quick`).
 
 use std::fs;
 use std::path::PathBuf;
@@ -206,4 +207,64 @@ fn check_protocol_audits_traced_runs() {
     assert!(runs >= 1, "{line}");
     assert!(commands > 0, "{line}");
     assert_eq!(violations, 0, "{line}");
+}
+
+/// Experiments that drive `System` directly simulate outside the run
+/// memo, so `--check-protocol` cannot trace them; the audit names them
+/// instead of counting them silently as zero traced runs.
+#[test]
+fn check_protocol_names_the_experiments_it_cannot_audit() {
+    let out = reproduce()
+        .args([
+            "--quick",
+            "--only",
+            "ablation-smart-refresh",
+            "--check-protocol",
+        ])
+        .output()
+        .expect("run reproduce --check-protocol");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(
+        stdout.contains("protocol check: 0 traced run(s), 0 DRAM command(s), 0 violation(s)"),
+        "{stdout}"
+    );
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("protocol check: not traced")
+                && l.ends_with(": ablation-smart-refresh")),
+        "{stdout}"
+    );
+}
+
+/// The comparison drivers reproduce the pinned quick tree exactly: one
+/// experiment per reduction shape (one-column grid, GM(H,VH) as `None`
+/// or with a GM(all) fallback, the shared sweep, the headline, the
+/// two-column ablations and the probing table), diffed at tolerance 0.
+#[test]
+fn comparison_drivers_match_the_pinned_quick_tree() {
+    let baseline =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../stackbench/expected/quick");
+    let mut cmd = reproduce();
+    cmd.args(["--quick", "--jobs", "2", "--tol", "0", "--baseline"])
+        .arg(&baseline);
+    for name in [
+        "table2b",
+        "figure4",
+        "figure6b",
+        "figure9-quad",
+        "headline",
+        "ablation-cwf",
+        "ablation-probing",
+    ] {
+        cmd.args(["--only", name]);
+    }
+    let out = cmd.output().expect("run reproduce --baseline");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(
+        stdout.contains("7 experiment(s) compared, 0 regression metric(s)"),
+        "{stdout}"
+    );
 }

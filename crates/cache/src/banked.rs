@@ -63,11 +63,6 @@ impl BankedCache {
         }
     }
 
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// The interleaving granularity in force.
     pub const fn granularity(&self) -> InterleaveGranularity {
         self.granularity

@@ -5,16 +5,18 @@
 use stacksim_dram::EnergyModel;
 use stacksim_memctrl::SchedulerPolicy;
 use stacksim_mshr::MshrKind;
-use stacksim_stats::{geometric_mean, Table};
+use stacksim_stats::Table;
 use stacksim_types::{ConfigError, InterleaveGranularity};
 use stacksim_workload::Mix;
 
 use crate::config::SystemConfig;
-use crate::runner::{parallel_map, RunConfig, RunPoint, Session};
+use crate::runner::{parallel_map, RunConfig, Session};
 use crate::system::System;
 
-/// GM speedup of `cfg` over `base` across `mixes`, with both columns fanned
-/// out as one matrix (and the shared quad-MC baseline memoized across the
+use super::{gms, Grid};
+
+/// GM speedup of `cfg` over `base` across `mixes`, with both columns run
+/// as one grid (and the shared quad-MC baseline memoized across the
 /// ablations that reuse it).
 fn gm_speedup(
     session: &Session,
@@ -23,16 +25,8 @@ fn gm_speedup(
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<f64, ConfigError> {
-    let points: Vec<RunPoint> = mixes
-        .iter()
-        .flat_map(|&mix| [(base.clone(), mix, *run), (cfg.clone(), mix, *run)])
-        .collect();
-    let results = session.run_matrix(&points)?;
-    let vals: Vec<f64> = results
-        .chunks(2)
-        .map(|pair| pair[1].speedup_over(&pair[0]).map_err(ConfigError::from))
-        .collect::<Result<_, _>>()?;
-    Ok(geometric_mean(&vals).expect("speedups are positive")) // simlint::allow(P002, reason = "speedup_over returns positive ratios, so the geometric mean is defined")
+    let grid = Grid::run(session, &[base.clone(), cfg.clone()], run, mixes)?;
+    Ok(gms(&grid.speedups(1, 0)?).1)
 }
 
 /// FR-FCFS versus FIFO scheduling (the paper assumes Rixner-style
@@ -118,43 +112,34 @@ pub fn ablation_probing(
     mixes: &[&'static Mix],
 ) -> Result<Vec<ProbingRow>, ConfigError> {
     let base = session.machines().quad_mc.clone().with_mshr_scale(8);
-    let linear = base.with_mshr_kind(MshrKind::DirectLinear);
     let kinds = [
         MshrKind::DirectLinear,
         MshrKind::DirectQuadratic,
         MshrKind::Vbf,
         MshrKind::Cam,
     ];
-    // One matrix over every (kind, mix) pair plus the shared linear
-    // baseline; the memo collapses the baseline to a single run per mix.
-    let points: Vec<RunPoint> = kinds
+    // Column 0, the linear-probing machine, is also the baseline.
+    let cfgs: Vec<SystemConfig> = kinds.iter().map(|&k| base.with_mshr_kind(k)).collect();
+    let grid = Grid::run(session, &cfgs, run, mixes)?;
+    kinds
         .iter()
-        .flat_map(|&kind| {
-            let cfg = base.with_mshr_kind(kind);
-            let linear = linear.clone();
-            mixes
-                .iter()
-                .flat_map(move |&mix| [(linear.clone(), mix, *run), (cfg.clone(), mix, *run)])
+        .enumerate()
+        .map(|(col, &kind)| {
+            let mut probe_sum = 0.0;
+            for i in 0..mixes.len() {
+                probe_sum += grid
+                    .at(i, col)
+                    .stats
+                    .get("mshr_probes_per_access")
+                    .unwrap_or(1.0);
+            }
+            Ok(ProbingRow {
+                kind,
+                speedup_vs_linear: gms(&grid.speedups(col, 0)?).1,
+                probes_per_access: probe_sum / mixes.len().max(1) as f64,
+            })
         })
-        .collect();
-    let results = session.run_matrix(&points)?;
-    let mut rows = Vec::new();
-    for (k, &kind) in kinds.iter().enumerate() {
-        let group = &results[2 * mixes.len() * k..2 * mixes.len() * (k + 1)];
-        let mut probe_sum = 0.0;
-        let mut vals = Vec::with_capacity(mixes.len());
-        for pair in group.chunks(2) {
-            let (b, c) = (&pair[0], &pair[1]);
-            vals.push(c.speedup_over(b)?);
-            probe_sum += c.stats.get("mshr_probes_per_access").unwrap_or(1.0);
-        }
-        rows.push(ProbingRow {
-            kind,
-            speedup_vs_linear: geometric_mean(&vals).expect("speedups are positive"), // simlint::allow(P002, reason = "speedup_over returns positive ratios, so the geometric mean is defined")
-            probes_per_access: probe_sum / mixes.len().max(1) as f64,
-        });
-    }
-    Ok(rows)
+        .collect()
 }
 
 /// Renders the probing comparison.

@@ -5,9 +5,9 @@ use stacksim_stats::Table;
 use stacksim_types::ConfigError;
 use stacksim_workload::Mix;
 
-use crate::runner::{RunConfig, RunPoint, Session};
+use crate::runner::{RunConfig, Session};
 
-use super::{gm_all, gm_memory_intensive};
+use super::{gms, Grid};
 
 /// Per-mix speedups of the three stacked organizations over 2D.
 #[derive(Clone, Debug)]
@@ -95,47 +95,28 @@ pub fn figure4(
         machines.m3d_wide.clone(),
         machines.m3d_fast.clone(),
     ];
-    let points: Vec<RunPoint> = mixes
+    let grid = Grid::run(session, &cfgs, run, mixes)?;
+    let [d3, wide, fast] = [
+        grid.speedups(1, 0)?,
+        grid.speedups(2, 0)?,
+        grid.speedups(3, 0)?,
+    ];
+    let rows = mixes
         .iter()
-        .flat_map(|&mix| cfgs.iter().map(move |cfg| (cfg.clone(), mix, *run)))
-        .collect();
-    let results = session.run_matrix(&points)?;
-    let mut rows = Vec::with_capacity(mixes.len());
-    for (i, &mix) in mixes.iter().enumerate() {
-        let [base, d3, wide, fast] = &results[cfgs.len() * i..cfgs.len() * (i + 1)] else {
-            unreachable!("run_matrix preserves point count") // simlint::allow(P003, reason = "run_matrix returns exactly one result per input point")
-        };
-        rows.push(Figure4Row {
+        .enumerate()
+        .map(|(i, &mix)| Figure4Row {
             mix,
-            hmipc_2d: base.hmipc,
-            speedup_3d: d3.speedup_over(base)?,
-            speedup_wide: wide.speedup_over(base)?,
-            speedup_fast: fast.speedup_over(base)?,
-        });
-    }
-    let columns = |f: fn(&Figure4Row) -> f64| -> Vec<(&'static Mix, f64)> {
-        rows.iter().map(|r| (r.mix, f(r))).collect()
-    };
-    let col3d = columns(|r| r.speedup_3d);
-    let colwide = columns(|r| r.speedup_wide);
-    let colfast = columns(|r| r.speedup_fast);
-    let has_hvh = mixes.iter().any(|m| {
-        matches!(
-            m.class,
-            stacksim_workload::MixClass::High | stacksim_workload::MixClass::VeryHigh
-        )
-    });
-    let gm_hvh = has_hvh.then(|| {
-        [
-            gm_memory_intensive(&col3d),
-            gm_memory_intensive(&colwide),
-            gm_memory_intensive(&colfast),
-        ]
-    });
+            hmipc_2d: grid.at(i, 0).hmipc,
+            speedup_3d: d3[i].1,
+            speedup_wide: wide[i].1,
+            speedup_fast: fast[i].1,
+        })
+        .collect();
+    let [g3d, gwide, gfast] = [gms(&d3), gms(&wide), gms(&fast)];
     Ok(Figure4Result {
-        gm_hvh,
-        gm_all: [gm_all(&col3d), gm_all(&colwide), gm_all(&colfast)],
         rows,
+        gm_hvh: g3d.0.zip(gwide.0).zip(gfast.0).map(|((a, b), c)| [a, b, c]),
+        gm_all: [g3d.1, gwide.1, gfast.1],
     })
 }
 

@@ -2,16 +2,14 @@
 //! (b) row-buffer cache entries. All speedups are over the 3D-fast
 //! baseline.
 
-use std::sync::Arc;
-
 use stacksim_stats::Table;
 use stacksim_types::ConfigError;
 use stacksim_workload::Mix;
 
 use crate::config::SystemConfig;
-use crate::runner::{RunConfig, RunPoint, RunResult, Session};
+use crate::runner::{RunConfig, Session};
 
-use super::{gm_all, gm_memory_intensive};
+use super::{gms, Grid};
 
 /// One (MC count, rank count) grid cell of Figure 6(a).
 #[derive(Clone, Copy, Debug)]
@@ -119,59 +117,23 @@ impl Figure6bResult {
     }
 }
 
-/// Baseline runs of 3D-fast, one per mix, reused by every comparison.
-fn baselines(
+/// Speedup GMs `(GM(H,VH), GM(all))` of each configuration over 3D-fast,
+/// all run as one grid. GM(H,VH) falls back to GM(all) when no H or VH
+/// mix ran.
+fn gms_over_fast(
     session: &Session,
+    cfgs: impl IntoIterator<Item = SystemConfig>,
     run: &RunConfig,
     mixes: &[&'static Mix],
-) -> Result<Vec<(&'static Mix, Arc<RunResult>)>, ConfigError> {
-    let cfg = session.machines().m3d_fast.clone();
-    let points: Vec<RunPoint> = mixes.iter().map(|&m| (cfg.clone(), m, *run)).collect();
-    let results = session.run_matrix(&points)?;
-    Ok(mixes.iter().copied().zip(results).collect())
-}
-
-/// Speedup GMs of one configuration's per-mix results over the prepared
-/// baselines.
-fn gms_vs(
-    results: &[Arc<RunResult>],
-    baselines: &[(&'static Mix, Arc<RunResult>)],
-) -> Result<(f64, f64), ConfigError> {
-    let rows: Vec<(&'static Mix, f64)> = baselines
-        .iter()
-        .zip(results)
-        .map(|((mix, base), r)| Ok((*mix, r.speedup_over(base)?)))
-        .collect::<Result<_, ConfigError>>()?;
-    let hvh = if rows.iter().any(|(m, _)| {
-        matches!(
-            m.class,
-            stacksim_workload::MixClass::High | stacksim_workload::MixClass::VeryHigh
-        )
-    }) {
-        gm_memory_intensive(&rows)
-    } else {
-        gm_all(&rows)
-    };
-    Ok((hvh, gm_all(&rows)))
-}
-
-/// Runs every listed configuration over every mix as one matrix (so the
-/// whole figure fans out across the worker pool at once) and reduces each
-/// configuration's results to its two speedup GMs.
-fn gms_per_config(
-    session: &Session,
-    cfgs: &[SystemConfig],
-    baselines: &[(&'static Mix, Arc<RunResult>)],
-    run: &RunConfig,
 ) -> Result<Vec<(f64, f64)>, ConfigError> {
-    let points: Vec<RunPoint> = cfgs
-        .iter()
-        .flat_map(|cfg| baselines.iter().map(|&(mix, _)| (cfg.clone(), mix, *run)))
-        .collect();
-    let results = session.run_matrix(&points)?;
-    results
-        .chunks(baselines.len())
-        .map(|chunk| gms_vs(chunk, baselines))
+    let mut cols = vec![session.machines().m3d_fast.clone()];
+    cols.extend(cfgs);
+    let grid = Grid::run(session, &cols, run, mixes)?;
+    (1..cols.len())
+        .map(|col| {
+            let (hvh, all) = gms(&grid.speedups(col, 0)?);
+            Ok((hvh.unwrap_or(all), all))
+        })
         .collect()
 }
 
@@ -187,22 +149,20 @@ pub fn figure6a(
     mixes: &[&'static Mix],
 ) -> Result<Figure6aResult, ConfigError> {
     let machines = session.machines();
-    let base = baselines(session, run, mixes)?;
     let grid_shape: Vec<(u16, u16)> = [8u16, 16]
         .iter()
         .flat_map(|&ranks| [1u16, 2, 4].map(|mcs| (mcs, ranks)))
         .collect();
     let l2_bytes = [512u64 << 10, 1 << 20];
-    let mut cfgs: Vec<SystemConfig> = grid_shape
+    let cfgs = grid_shape
         .iter()
         .map(|&(mcs, ranks)| machines.aggressive(mcs, ranks, 1))
-        .collect();
-    cfgs.extend(
-        l2_bytes
-            .iter()
-            .map(|&b| machines.m3d_fast.clone().with_extra_l2(b)),
-    );
-    let gms = gms_per_config(session, &cfgs, &base, run)?;
+        .chain(
+            l2_bytes
+                .iter()
+                .map(|&b| machines.m3d_fast.clone().with_extra_l2(b)),
+        );
+    let gms = gms_over_fast(session, cfgs, run, mixes)?;
     let grid = grid_shape
         .iter()
         .zip(&gms)
@@ -233,16 +193,14 @@ pub fn figure6b(
     mixes: &[&'static Mix],
 ) -> Result<Figure6bResult, ConfigError> {
     let machines = session.machines();
-    let base = baselines(session, run, mixes)?;
     let shape: Vec<(u16, u16, usize)> = [(2u16, 8u16), (4, 16)]
         .iter()
         .flat_map(|&(mcs, ranks)| (1..=4usize).map(move |rb| (mcs, ranks, rb)))
         .collect();
-    let cfgs: Vec<SystemConfig> = shape
+    let cfgs = shape
         .iter()
-        .map(|&(mcs, ranks, rb)| machines.aggressive(mcs, ranks, rb))
-        .collect();
-    let gms = gms_per_config(session, &cfgs, &base, run)?;
+        .map(|&(mcs, ranks, rb)| machines.aggressive(mcs, ranks, rb));
+    let gms = gms_over_fast(session, cfgs, run, mixes)?;
     let cells = shape
         .iter()
         .zip(&gms)

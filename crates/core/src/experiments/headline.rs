@@ -2,15 +2,13 @@
 //! the aggressive 3D organization plus the scalable MHA over 3D-fast and
 //! over the conventional 2D machine.
 
-use stacksim_mshr::{MshrKind, TunerConfig};
 use stacksim_stats::Table;
 use stacksim_types::ConfigError;
 use stacksim_workload::Mix;
 
-use crate::config::SystemConfig;
-use crate::runner::{RunConfig, RunPoint, Session};
+use crate::runner::{RunConfig, Session};
 
-use super::gm_memory_intensive;
+use super::{gms, Grid, MhaVariant};
 
 /// The cumulative-speedup summary.
 #[derive(Clone, Debug)]
@@ -64,6 +62,10 @@ impl HeadlineResult {
 /// # Errors
 ///
 /// Returns [`ConfigError`] if a configuration fails validation.
+///
+/// # Panics
+///
+/// Panics if `mixes` holds no H or VH mix.
 #[must_use = "holds the experiment's results or the reason it could not run"]
 pub fn headline(
     session: &Session,
@@ -71,42 +73,22 @@ pub fn headline(
     mixes: &[&'static Mix],
 ) -> Result<HeadlineResult, ConfigError> {
     let machines = session.machines();
-    let cfg_2d = machines.m2d.clone();
-    let cfg_fast = machines.m3d_fast.clone();
-    let cfg_aggr = machines.quad_mc.clone();
-    let cfg_mha: SystemConfig = cfg_aggr
-        .with_mshr_scale(8)
-        .with_mshr_kind(MshrKind::Vbf)
-        .with_dynamic_mshr(TunerConfig {
-            sample_cycles: 2_000,
-            apply_cycles: 30_000,
-            divisors: vec![1, 2, 4],
-        });
-
-    let cfgs = [cfg_2d, cfg_fast, cfg_aggr, cfg_mha];
-    let points: Vec<RunPoint> = mixes
-        .iter()
-        .flat_map(|&mix| cfgs.iter().map(move |cfg| (cfg.clone(), mix, *run)))
-        .collect();
-    let results = session.run_matrix(&points)?;
-    let mut fast_over_2d = Vec::new();
-    let mut aggr_over_fast = Vec::new();
-    let mut mha_over_aggr = Vec::new();
-    let mut total_over_2d = Vec::new();
-    for (i, &mix) in mixes.iter().enumerate() {
-        let [r2d, rfast, raggr, rmha] = &results[cfgs.len() * i..cfgs.len() * (i + 1)] else {
-            unreachable!("run_matrix preserves point count") // simlint::allow(P003, reason = "run_matrix returns exactly one result per input point")
-        };
-        fast_over_2d.push((mix, rfast.speedup_over(r2d)?));
-        aggr_over_fast.push((mix, raggr.speedup_over(rfast)?));
-        mha_over_aggr.push((mix, rmha.speedup_over(raggr)?));
-        total_over_2d.push((mix, rmha.speedup_over(r2d)?));
-    }
+    let cfgs = [
+        machines.m2d.clone(),
+        machines.m3d_fast.clone(),
+        machines.quad_mc.clone(),
+        MhaVariant::VbfDynamic.apply(&machines.quad_mc),
+    ];
+    let grid = Grid::run(session, &cfgs, run, mixes)?;
+    let gm_hvh = |col: usize, base: usize| -> Result<f64, ConfigError> {
+        let (hvh, _) = gms(&grid.speedups(col, base)?);
+        Ok(hvh.expect("H/VH mixes present")) // simlint::allow(P002, reason = "the headline is defined over the H and VH mixes, which callers pass")
+    };
     Ok(HeadlineResult {
-        fast_over_2d: gm_memory_intensive(&fast_over_2d),
-        aggressive_over_fast: gm_memory_intensive(&aggr_over_fast),
-        mha_over_aggressive: gm_memory_intensive(&mha_over_aggr),
-        total_over_2d: gm_memory_intensive(&total_over_2d),
+        fast_over_2d: gm_hvh(1, 0)?,
+        aggressive_over_fast: gm_hvh(2, 1)?,
+        mha_over_aggressive: gm_hvh(3, 2)?,
+        total_over_2d: gm_hvh(3, 0)?,
     })
 }
 

@@ -6,8 +6,10 @@ use stacksim_stats::Table;
 use stacksim_types::ConfigError;
 use stacksim_workload::{Benchmark, Mix, SyntheticWorkload, TraceGenerator};
 
-use crate::runner::{parallel_map, RunConfig, RunPoint, Session};
+use crate::runner::{parallel_map, RunConfig, Session};
 use crate::system::System;
+
+use super::Grid;
 
 /// One benchmark's characterization row.
 #[derive(Clone, Debug)]
@@ -99,15 +101,13 @@ pub fn table2b(
     run: &RunConfig,
     mixes: &[&'static Mix],
 ) -> Result<Vec<Table2bRow>, ConfigError> {
-    let cfg = session.machines().m2d.clone();
-    let points: Vec<RunPoint> = mixes.iter().map(|&mix| (cfg.clone(), mix, *run)).collect();
-    let results = session.run_matrix(&points)?;
+    let grid = Grid::run(session, &[session.machines().m2d.clone()], run, mixes)?;
     Ok(mixes
         .iter()
-        .zip(results)
-        .map(|(&mix, r)| Table2bRow {
+        .enumerate()
+        .map(|(i, &mix)| Table2bRow {
             mix,
-            measured_hmipc: r.hmipc,
+            measured_hmipc: grid.at(i, 0).hmipc,
         })
         .collect())
 }

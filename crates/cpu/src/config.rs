@@ -50,14 +50,6 @@ impl CoreConfig {
         }
     }
 
-    /// Disables the branch predictor (perfect prediction).
-    pub fn without_branch_predictor(self) -> CoreConfig {
-        CoreConfig {
-            branch: None,
-            ..self
-        }
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics

@@ -59,11 +59,6 @@ impl HierarchicalMshr {
         }
     }
 
-    /// Number of first-level banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     #[inline]
     fn bank_of(&self, line: LineAddr) -> usize {
         (line.index() % self.banks.len() as u64) as usize

@@ -4,9 +4,8 @@
 //! tables and figures as plain-text tables; this crate supplies the shared
 //! machinery:
 //!
-//! * [`Counter`] — event counters with derived rates;
 //! * [`Histogram`] — integer-valued histograms (e.g. MSHR probes/access);
-//! * [`RunningStats`] — streaming mean/min/max/variance;
+//! * [`RunningStats`] — a streaming mean (e.g. memory-controller queue wait);
 //! * [`geometric_mean`] / [`harmonic_mean`] — the paper's two summary means
 //!   (GM for speedups, HMIPC for multi-programmed throughput);
 //! * [`Table`] — fixed-width text table rendering for experiment output;
@@ -28,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counter;
 mod histogram;
 mod json;
 mod means;
@@ -36,7 +34,6 @@ mod metrics;
 mod running;
 mod table;
 
-pub use counter::Counter;
 pub use histogram::Histogram;
 pub use json::{Json, JsonError};
 pub use means::{geometric_mean, harmonic_mean, MeanError};

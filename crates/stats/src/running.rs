@@ -1,9 +1,7 @@
-//! Streaming summary statistics.
+//! Streaming mean.
 
-use core::fmt;
-
-/// Streaming mean / min / max / variance over `f64` samples, using
-/// Welford's numerically stable online algorithm.
+/// Streaming mean over `f64` samples, updated with Welford's numerically
+/// stable online step.
 ///
 /// # Examples
 ///
@@ -11,34 +9,22 @@ use core::fmt;
 /// use stacksim_stats::RunningStats;
 ///
 /// let mut s = RunningStats::new();
+/// assert_eq!(s.mean(), None);
 /// for v in [1.0, 2.0, 3.0] {
 ///     s.record(v);
 /// }
-/// assert_eq!(s.count(), 3);
 /// assert_eq!(s.mean(), Some(2.0));
-/// assert_eq!(s.min(), Some(1.0));
-/// assert_eq!(s.max(), Some(3.0));
-/// assert!((s.variance().unwrap() - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl RunningStats {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        RunningStats::default()
     }
 
     /// Records one sample.
@@ -46,57 +32,11 @@ impl RunningStats {
         self.count += 1;
         let delta = value - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples.
-    pub const fn count(&self) -> u64 {
-        self.count
     }
 
     /// Sample mean; `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then_some(self.mean)
-    }
-
-    /// Smallest sample; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Sample variance (n−1 denominator); `None` with fewer than 2 samples.
-    pub fn variance(&self) -> Option<f64> {
-        (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
-    }
-
-    /// Sample standard deviation; `None` with fewer than 2 samples.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Clears all samples.
-    pub fn reset(&mut self) {
-        *self = RunningStats::new();
-    }
-}
-
-impl fmt::Display for RunningStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.mean() {
-            Some(m) => write!(
-                f,
-                "n={} mean={:.4} [{:.4},{:.4}]",
-                self.count, m, self.min, self.max
-            ),
-            None => write!(f, "n=0"),
-        }
     }
 }
 
@@ -106,21 +46,7 @@ mod tests {
 
     #[test]
     fn empty_stats() {
-        let s = RunningStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        assert_eq!(s.variance(), None);
-        assert_eq!(s.to_string(), "n=0");
-    }
-
-    #[test]
-    fn single_sample_has_no_variance() {
-        let mut s = RunningStats::new();
-        s.record(5.0);
-        assert_eq!(s.mean(), Some(5.0));
-        assert_eq!(s.variance(), None);
+        assert_eq!(RunningStats::new().mean(), None);
     }
 
     #[test]
@@ -131,16 +57,6 @@ mod tests {
             s.record(v);
         }
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (vals.len() - 1) as f64;
         assert!((s.mean().unwrap() - mean).abs() < 1e-12);
-        assert!((s.variance().unwrap() - var).abs() < 1e-10);
-    }
-
-    #[test]
-    fn reset_restores_empty() {
-        let mut s = RunningStats::new();
-        s.record(1.0);
-        s.reset();
-        assert_eq!(s.count(), 0);
     }
 }

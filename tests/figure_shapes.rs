@@ -120,7 +120,7 @@ fn figure9_vbf_is_practical_and_close_to_ideal() {
     let mixes = [Mix::by_name("VH2").unwrap(), Mix::by_name("H1").unwrap()];
     let session = session();
     let r = figure9(&session, &session.machines().dual_mc, &run(), &mixes).unwrap();
-    let gm = r.gm_hvh_pct.expect("H/VH mixes provided");
+    let gm = r.sweep.gm_hvh_pct.expect("H/VH mixes provided");
     let ideal = gm[0];
     let vbf = gm[1];
     assert!(
